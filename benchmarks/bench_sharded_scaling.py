@@ -13,7 +13,7 @@ Two claims are asserted at 100k points (override the size with
 
 2. **Window batches touch only the shards they intersect**, asserted via
    the per-shard :class:`~repro.storage.AccessStats` attribution on the
-   returned :class:`~repro.core.batch.BatchResult` — the spatial
+   returned :class:`~repro.analytics.QueryResult` — the spatial
    data-skipping property of partition-aware routing.
 
 A reporting (non-gating) companion measures the RSMI-wrapped sharded

@@ -27,11 +27,11 @@ The paper defines its query algorithms per query; serving heavy traffic
 means executing them in batches.  :class:`~repro.engine.BatchQueryEngine`
 pushes whole query arrays through the RSMI level-synchronously — one
 vectorised model call per touched sub-model, one block scan per touched
-block — and falls back to a uniform (optionally thread-pooled) per-query
-path for the baseline indices and for query types without a vectorised
-formulation.  Results are identical to the sequential paths (asserted by the
-differential harness in ``tests/test_engine_differential.py``), typically at
-an order of magnitude fewer block accesses per batch::
+block — and falls back to one uniform per-query loop for the baseline
+indices and for query types without a vectorised formulation.  Results are
+identical to the sequential paths (asserted by the differential harness in
+``tests/test_engine_differential.py``), typically at an order of magnitude
+fewer block accesses per batch::
 
     from repro import BatchQueryEngine
     from repro.analytics import QueryRequest
@@ -41,9 +41,10 @@ an order of magnitude fewer block accesses per batch::
     engine.execute(QueryRequest.for_windows(windows))        # point arrays
     engine.execute(QueryRequest.for_knn(points[:100], k=10)) # point arrays
 
-(The former per-kind entry points ``point_queries``/``window_queries``/
-``knn_queries`` survive as deprecated shims over the same internals and
-emit ``DeprecationWarning``.)
+``execute`` is the engines' only query entry point: the former per-kind
+methods (``point_queries``/``window_queries``/``knn_queries``) are gone,
+and the request constructors reject NaN/infinite coordinates and
+``k < 1`` before any engine sees them.
 
 The experiment harness opts in through the measurement functions'
 ``execution="batched"`` parameter (:mod:`repro.evaluation.runner`) or the
@@ -128,7 +129,7 @@ times that include queueing delay once the offered rate outpaces the
 server.  Percentiles come from seeded reservoir
 :class:`~repro.workloads.PercentileSketch` es and surface as p50/p95/p99
 on snapshots, results (per kind, per tenant, with a Jain fairness index)
-and on every engine :class:`~repro.core.batch.BatchResult` (per shard on
+and on every engine :class:`~repro.analytics.QueryResult` (per shard on
 the sharded engine)::
 
     from repro.workloads import (

@@ -13,8 +13,8 @@ every operation now flows through one protocol:
   :class:`~repro.storage.stats.AccessSummary` and the per-op latency
   attribution the engines already computed.
 
-The legacy entry points (``point_queries``/``window_queries``/
-``knn_queries``) survive as thin deprecated shims over the same internals.
+The constructors are the input contract: coordinates must be finite and
+``k >= 1``, so engines never see a NaN query or a non-positive ``k``.
 
 :class:`AggregateSpec` also owns the push-down mechanics for its operator:
 ``new_partial()`` / ``fold(partial, points)`` / ``finalize(partial)``, so
@@ -25,7 +25,7 @@ oracle and the differential tests check against.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -136,8 +136,9 @@ class QueryRequest:
     """One batched operation: a kind plus its payload.
 
     Build with the classmethods — they normalise payloads (point arrays to
-    float64 ``(n, 2)``, window/spec sequences to tuples) so engines can
-    consume them without re-validation.
+    float64 ``(n, 2)``, window/spec sequences to tuples) and reject
+    non-finite coordinates, so engines can consume them without
+    re-validation.
     """
 
     __slots__ = ("kind", "points", "windows", "k", "aggregates")
@@ -155,19 +156,19 @@ class QueryRequest:
 
     @classmethod
     def for_points(cls, points) -> "QueryRequest":
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        return cls("point", points=pts)
+        return cls("point", points=_finite_points("point", points))
 
     @classmethod
     def for_windows(cls, windows: Sequence[Rect]) -> "QueryRequest":
-        return cls("window", windows=tuple(windows))
+        windows = tuple(windows)
+        _require_finite_windows("window", windows)
+        return cls("window", windows=windows)
 
     @classmethod
     def for_knn(cls, points, k: int) -> "QueryRequest":
         if k < 1:
             raise ValueError("k must be >= 1")
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        return cls("knn", points=pts, k=int(k))
+        return cls("knn", points=_finite_points("knn", points), k=int(k))
 
     @classmethod
     def for_aggregates(cls, specs: Sequence[AggregateSpec]) -> "QueryRequest":
@@ -175,6 +176,7 @@ class QueryRequest:
         for spec in specs:
             if not isinstance(spec, AggregateSpec):
                 raise TypeError("aggregate payload must be AggregateSpec instances")
+        _require_finite_windows("aggregate", [spec.window for spec in specs])
         return cls("aggregate", aggregates=specs)
 
     @property
@@ -187,6 +189,28 @@ class QueryRequest:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"QueryRequest(kind={self.kind!r}, n_ops={self.n_ops})"
+
+
+def _finite_points(kind: str, points) -> np.ndarray:
+    """``points`` as float64 ``(n, 2)``; ValueError naming the first
+    ``kind`` op with a NaN or infinite coordinate."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        op = int(bad[0])
+        raise ValueError(
+            f"{kind} op {op} has a non-finite coordinate: ({pts[op, 0]}, {pts[op, 1]})"
+        )
+    return pts
+
+
+def _require_finite_windows(kind: str, windows: Sequence[Rect]) -> None:
+    """ValueError naming the first ``kind`` op whose window has a NaN or
+    infinite bound."""
+    for op, window in enumerate(windows):
+        bounds = (window.xlo, window.ylo, window.xhi, window.yhi)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"{kind} op {op} has a non-finite window: {window}")
 
 
 @dataclass
@@ -203,17 +227,6 @@ class QueryResult:
     #: latency attributed per shard id (sharded engines, point/window only)
     per_shard_latency: dict | None = None
 
-    @classmethod
-    def from_batch(cls, kind: str, batch) -> "QueryResult":
-        """Wrap a legacy :class:`~repro.core.batch.BatchResult`."""
-        return cls(
-            kind=kind,
-            values=list(batch.results),
-            access=batch.access,
-            latency=batch.latency,
-            per_shard_latency=batch.per_shard_latency,
-        )
-
     @property
     def n_ops(self) -> int:
         return len(self.values)
@@ -227,15 +240,6 @@ class QueryResult:
         if self.access is None or self.access.logical_reads is None or not self.values:
             return None
         return self.access.logical_reads / len(self.values)
-
-
-def warn_deprecated_entry_point(old: str, new: str) -> None:
-    """Emit the uniform DeprecationWarning of the legacy engine shims."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def exact_aggregate(spec: AggregateSpec, points) -> AggregateOutcome:

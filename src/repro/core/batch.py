@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.geometry import Rect
-from repro.storage.stats import AccessSummary
 
 __all__ = [
     "BatchResult",
@@ -66,48 +65,18 @@ def contains_callable(index):
 
 @dataclass
 class BatchResult:
-    """Results of one batched workload.
+    """Results of one sequential reference batch (the helpers below).
 
-    The three accounting fields are the *deprecated* spelling of one
-    :class:`~repro.storage.stats.AccessSummary` — new code should read
-    :attr:`access` (or use ``engine.execute`` and get a ``QueryResult``,
-    which carries the summary directly).
+    The engines return :class:`~repro.analytics.ops.QueryResult`; these
+    per-query loops are what their answers and block reads are checked
+    against.
     """
 
     #: one entry per query, in input order
     results: list = field(default_factory=list)
-    #: deprecated alias of ``access.logical_reads`` — total logical
-    #: block/node reads accumulated while serving the batch
+    #: total logical block/node reads accumulated while serving the batch
+    #: (None when the index keeps no access stats)
     total_block_accesses: int | None = None
-    #: deprecated alias of ``access.per_shard_logical_reads``
-    per_shard_block_accesses: dict[int, int] | None = None
-    #: deprecated alias of ``access.physical_reads``
-    total_physical_accesses: int | None = None
-    #: per-query latency percentiles for the batch (engines measure wall time
-    #: per query on per-query paths and attribute the batch wall time
-    #: uniformly on vectorised paths); None for the plain sequential helpers
-    latency: object | None = None
-    #: per-query latency percentiles attributed per shard id (sharded point
-    #: and window batches only — kNN fans one query across shards)
-    per_shard_latency: dict | None = None
-
-    @property
-    def access(self) -> AccessSummary:
-        """The batch's read accounting as one unified summary."""
-        return AccessSummary(
-            logical_reads=self.total_block_accesses,
-            physical_reads=self.total_physical_accesses,
-            per_shard_logical_reads=self.per_shard_block_accesses,
-        )
-
-    @property
-    def cache_hit_ratio(self) -> float | None:
-        """Fraction of the batch's logical reads served from the cache."""
-        if self.total_block_accesses is None or self.total_physical_accesses is None:
-            return None
-        if self.total_block_accesses <= 0:
-            return 0.0
-        return 1.0 - self.total_physical_accesses / self.total_block_accesses
 
     @property
     def n_queries(self) -> int:

@@ -3,13 +3,12 @@
 The paper defines its query algorithms per query; this subsystem executes
 whole *batches* of point / window / kNN queries level-synchronously over the
 RSMI's model hierarchy (one vectorised model call per touched node, one block
-scan per touched block) and through a uniform — optionally thread-pooled —
-per-query path for the indices and query types without a vectorised
-formulation.  See :class:`~repro.engine.engine.BatchQueryEngine`.
+scan per touched block) and through one uniform per-query loop for the
+indices and query types without a vectorised formulation.  See
+:class:`~repro.engine.engine.BatchQueryEngine`.
 """
 
 from repro.engine.engine import ENGINE_MODES, BatchQueryEngine
-from repro.engine.executor import default_worker_count, run_sequential, run_threaded
 from repro.engine.routing import LeafBatch, resolve_child_cells, route_batch
 
 __all__ = [
@@ -18,7 +17,4 @@ __all__ = [
     "LeafBatch",
     "route_batch",
     "resolve_child_cells",
-    "run_sequential",
-    "run_threaded",
-    "default_worker_count",
 ]

@@ -11,8 +11,7 @@ underlying index allows:
   **once per batch** instead of once per query.
 * Query types without a vectorisable algorithm (the RSMI's adaptive
   expanding-region kNN, the exact MBR-traversal variants) and the traditional
-  baseline indices fall back to a uniform per-query path, optionally spread
-  over a thread pool (:mod:`repro.engine.executor`).
+  baseline indices fall back to one uniform per-query loop.
 
 The engine produces results **identical** to the sequential query paths — the
 differential harness in ``tests/test_engine_differential.py`` asserts exact
@@ -32,28 +31,19 @@ import time
 
 import numpy as np
 
-from repro.analytics.ops import (
-    QueryRequest,
-    QueryResult,
-    warn_deprecated_entry_point,
-)
-from repro.core.batch import (
-    BatchResult,
-    contains_callable,
-    latency_from_durations,
-    latency_uniform,
-)
+from repro.analytics.ops import QueryRequest, QueryResult
+from repro.core.batch import contains_callable, latency_from_durations, latency_uniform
 from repro.core.rsmi import _outward_positions
 from repro.core.window import window_corner_points
-from repro.engine.executor import run_sequential, run_threaded
 from repro.engine.routing import route_batch
 from repro.geometry import Rect
 from repro.storage import hilbert_sort_order, make_page_cache
+from repro.storage.stats import AccessSummary
 
 __all__ = ["BatchQueryEngine", "ENGINE_MODES"]
 
 #: recognised execution modes
-ENGINE_MODES = ("auto", "vectorized", "sequential", "threaded")
+ENGINE_MODES = ("auto", "sequential")
 
 _EMPTY = np.empty((0, 2), dtype=float)
 
@@ -66,6 +56,25 @@ def _scatter(grouped: list, order) -> list:
     return results
 
 
+def _points_of(answer) -> np.ndarray:
+    """The point array of a query answer (result record or bare array)."""
+    return answer.points if hasattr(answer, "points") else answer
+
+
+def _centers(windows) -> np.ndarray:
+    """``(n, 2)`` window centres: the reorder keys of window-shaped ops."""
+    return np.asarray(
+        [((w.xlo + w.xhi) / 2.0, (w.ylo + w.yhi) / 2.0) for w in windows], dtype=float
+    ).reshape(-1, 2)
+
+
+def _timed_batch(fn, batch) -> tuple[list, object]:
+    """Run one vectorised batch; its wall time is attributed uniformly per op."""
+    started = time.perf_counter()
+    results = fn(batch)
+    return results, latency_uniform(time.perf_counter() - started, len(batch))
+
+
 class BatchQueryEngine:
     """Execute query batches against one index.
 
@@ -76,13 +85,8 @@ class BatchQueryEngine:
         adapter.
     mode:
         ``"auto"`` (default) uses the vectorised path wherever one exists and
-        the per-query fallback elsewhere; ``"vectorized"`` requires an
-        RSMI-backed index (raises otherwise); ``"sequential"`` forces the
-        per-query path; ``"threaded"`` runs the per-query path on a thread
-        pool (block-access counters become approximate, results do not).
-    n_workers:
-        Thread-pool width for ``"threaded"`` mode (default: a small
-        CPU-count-derived cap).
+        the per-query fallback elsewhere; ``"sequential"`` forces the
+        per-query path.
     cache_blocks / cache_policy:
         When ``cache_blocks`` is a positive number, a
         :class:`~repro.storage.PageCache` of that capacity (replacement
@@ -107,17 +111,16 @@ class BatchQueryEngine:
         tests); the vectorised RSMI paths already touch every block once
         per batch and ignore the flag.
 
-    Every query method resets the index's :class:`AccessStats` (when present)
+    Every request resets the index's :class:`AccessStats` (when present)
     and reports the batch's total logical and physical block/node reads on
-    the returned :class:`~repro.core.batch.BatchResult`, so speedups stay
-    attributable to saved block accesses.
+    the returned :class:`~repro.analytics.ops.QueryResult`, so speedups
+    stay attributable to saved block accesses.
     """
 
     def __init__(
         self,
         index,
         mode: str = "auto",
-        n_workers: int | None = None,
         cache_blocks: int | None = None,
         cache_policy: str = "lru",
         shared_pool=None,
@@ -129,7 +132,6 @@ class BatchQueryEngine:
             raise ValueError(f"unknown engine mode {mode!r}; available: {ENGINE_MODES}")
         self.index = index
         self.mode = mode
-        self.n_workers = n_workers
         self.reorder = bool(reorder)
         cache = make_page_cache(cache_blocks, cache_policy)
         if cache is not None and shared_pool is not None:
@@ -159,199 +161,107 @@ class BatchQueryEngine:
         #: adapters for the exact (RSMIa) variants answer window/kNN queries
         #: through a different algorithm, so those fall back to per-query mode
         self._exact_variant = bool(getattr(index, "prefers_exact_queries", False))
-        if mode == "vectorized" and self._rsmi is None:
-            raise ValueError(
-                f"mode='vectorized' requires an RSMI-backed index, got {type(index).__name__}"
-            )
 
     # ------------------------------------------------------------------ queries --
 
     def execute(self, request: QueryRequest) -> QueryResult:
         """Execute one :class:`~repro.analytics.ops.QueryRequest`.
 
-        The canonical entry point: every operation kind — ``point``,
-        ``window``, ``knn`` and the push-down ``aggregate`` operators —
-        flows through here and returns a
-        :class:`~repro.analytics.ops.QueryResult` with per-op values in
-        request order plus one unified
+        The one entry point: every operation kind — ``point``, ``window``,
+        ``knn`` and the push-down ``aggregate`` operators — flows through
+        here and returns a :class:`~repro.analytics.ops.QueryResult` with
+        per-op values in request order plus one unified
         :class:`~repro.storage.stats.AccessSummary`.
         """
         if request.kind == "point":
-            return QueryResult.from_batch("point", self._run_points(request.points))
+            return self._run_points(request.points)
         if request.kind == "window":
-            return QueryResult.from_batch("window", self._run_windows(request.windows))
+            return self._run_windows(request.windows)
         if request.kind == "knn":
-            return QueryResult.from_batch("knn", self._run_knn(request.points, request.k))
-        return QueryResult.from_batch(
-            "aggregate", self._run_aggregates(request.aggregates)
-        )
+            return self._run_knn(request.points, request.k)
+        return self._run_aggregates(request.aggregates)
 
-    def point_queries(self, points: np.ndarray) -> BatchResult:
-        """Deprecated shim over :meth:`execute`; use
-        ``execute(QueryRequest.for_points(...))`` in new code."""
-        warn_deprecated_entry_point(
-            "BatchQueryEngine.point_queries", "execute(QueryRequest.for_points(...))"
-        )
-        return self._run_points(points)
-
-    def window_queries(self, windows) -> BatchResult:
-        """Deprecated shim over :meth:`execute`; use
-        ``execute(QueryRequest.for_windows(...))`` in new code."""
-        warn_deprecated_entry_point(
-            "BatchQueryEngine.window_queries", "execute(QueryRequest.for_windows(...))"
-        )
-        return self._run_windows(windows)
-
-    def knn_queries(self, queries: np.ndarray, k: int) -> BatchResult:
-        """Deprecated shim over :meth:`execute`; use
-        ``execute(QueryRequest.for_knn(...))`` in new code."""
-        warn_deprecated_entry_point(
-            "BatchQueryEngine.knn_queries", "execute(QueryRequest.for_knn(...))"
-        )
-        return self._run_knn(queries, k)
-
-    def _run_points(self, points: np.ndarray) -> BatchResult:
+    def _run_points(self, points: np.ndarray) -> QueryResult:
         """Membership of every row of ``points``; results are booleans in input order."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         stats = self._reset_stats()
         if self._vectorizes("point") and points.shape[0] > 0:
-            started = time.perf_counter()
-            found = self._point_batch_vectorized(points)
-            latency = latency_uniform(time.perf_counter() - started, points.shape[0])
+            found, latency = _timed_batch(self._point_batch_vectorized, points)
         else:
-            order = self._batch_order(points)
-            if order is None:
-                found, durations = self._point_batch_fallback(points)
-            else:
-                grouped, durations = self._point_batch_fallback(points[order])
-                found = _scatter(grouped, order)
-            latency = latency_from_durations(durations)
-        return BatchResult(
-            results=found,
-            total_block_accesses=self._total_reads(stats),
-            total_physical_accesses=self._physical_reads(stats),
-            latency=latency,
-        )
+            contains = contains_callable(self.index)
 
-    def _run_windows(self, windows) -> BatchResult:
+            def one(row) -> bool:
+                return bool(contains(float(row[0]), float(row[1])))
+
+            found, latency = self._run_fallback(one, list(points), points)
+        return self._result("point", found, stats, latency)
+
+    def _run_windows(self, windows) -> QueryResult:
         """Window queries; each result is an ``(m, 2)`` point array in input order."""
         windows = list(windows)
         stats = self._reset_stats()
         if self._vectorizes("window") and windows:
-            started = time.perf_counter()
-            results = self._window_batch_vectorized(windows)
-            latency = latency_uniform(time.perf_counter() - started, len(windows))
+            results, latency = _timed_batch(self._window_batch_vectorized, windows)
         else:
-            centers = np.asarray(
-                [((w.xlo + w.xhi) / 2.0, (w.ylo + w.yhi) / 2.0) for w in windows],
-                dtype=float,
-            ).reshape(-1, 2)
-            order = self._batch_order(centers)
-            if order is None:
-                results, durations = self._window_batch_fallback(windows)
-            else:
-                grouped, durations = self._window_batch_fallback(
-                    [windows[i] for i in order.tolist()]
-                )
-                results = _scatter(grouped, order)
-            latency = latency_from_durations(durations)
-        return BatchResult(
-            results=results,
-            total_block_accesses=self._total_reads(stats),
-            total_physical_accesses=self._physical_reads(stats),
-            latency=latency,
-        )
 
-    def _run_knn(self, queries: np.ndarray, k: int) -> BatchResult:
+            def one(window: Rect) -> np.ndarray:
+                return _points_of(self.index.window_query(window))
+
+            results, latency = self._run_fallback(one, windows, _centers(windows))
+        return self._result("window", results, stats, latency)
+
+    def _run_knn(self, queries: np.ndarray, k: int) -> QueryResult:
         """kNN queries; each result is a ``(k, 2)`` point array in input order.
 
         The RSMI's Algorithm 3 adapts its search region per query (the region
         depends on the distances found so far), so no level-synchronous
         formulation exists; every index answers kNN batches through the
-        uniform per-query path (threaded when the engine is in threaded mode).
+        per-query path.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
         queries = np.asarray(queries, dtype=float).reshape(-1, 2)
         stats = self._reset_stats()
 
         def one(row) -> np.ndarray:
-            answer = self.index.knn_query(float(row[0]), float(row[1]), k)
-            return answer.points if hasattr(answer, "points") else answer
+            return _points_of(self.index.knn_query(float(row[0]), float(row[1]), k))
 
-        order = self._batch_order(queries)
-        if order is None:
-            results, durations = self._run_fallback(one, list(queries))
-        else:
-            grouped, durations = self._run_fallback(one, list(queries[order]))
-            results = _scatter(grouped, order)
-        return BatchResult(
-            results=results,
-            total_block_accesses=self._total_reads(stats),
-            total_physical_accesses=self._physical_reads(stats),
-            latency=latency_from_durations(durations),
-        )
+        results, latency = self._run_fallback(one, list(queries), queries)
+        return self._result("knn", results, stats, latency)
 
     # ----------------------------------------------------------------- aggregates --
 
-    def _run_aggregates(self, specs) -> BatchResult:
+    def _run_aggregates(self, specs) -> QueryResult:
         """Aggregate operators; each result is an ``AggregateOutcome``."""
         specs = list(specs)
-        stats = self._reset_stats()
-        partials, latency = self._aggregate_batch(specs)
-        results = [spec.finalize(partial) for spec, partial in zip(specs, partials)]
-        return BatchResult(
-            results=results,
-            total_block_accesses=self._total_reads(stats),
-            total_physical_accesses=self._physical_reads(stats),
-            latency=latency,
-        )
+        result = self.aggregate_partials(specs)
+        result.values = [spec.finalize(partial) for spec, partial in zip(specs, result.values)]
+        return result
 
-    def aggregate_partials(self, specs) -> BatchResult:
+    def aggregate_partials(self, specs) -> QueryResult:
         """Per-spec **unfinalised** partials, for upstream merging.
 
-        The push-down surface: the sharded engine and the serving workers
-        call this instead of ``execute`` so one partial per spec — not a
-        point set — crosses the shard/process boundary; the caller merges
-        partials in shard-id order and finalises once.  ``results`` holds
-        the partial objects; accounting matches a window batch over the
-        same windows.
+        The push-down surface: the sharded engine (and through it the
+        serving workers) calls this instead of ``execute`` so one partial
+        per spec — not a point set — crosses the shard/process boundary;
+        the caller merges partials in shard-id order and finalises once.
+        ``values`` holds the partial objects; accounting matches a window
+        batch over the same windows.
         """
         specs = list(specs)
         stats = self._reset_stats()
-        partials, latency = self._aggregate_batch(specs)
-        return BatchResult(
-            results=partials,
-            total_block_accesses=self._total_reads(stats),
-            total_physical_accesses=self._physical_reads(stats),
-            latency=latency,
-        )
-
-    def _aggregate_batch(self, specs) -> tuple[list, object]:
-        """One partial per spec plus the batch's latency summary."""
         if self._vectorizes("window") and specs:
-            started = time.perf_counter()
-            partials = self._aggregate_batch_vectorized(specs)
-            return partials, latency_uniform(time.perf_counter() - started, len(specs))
-        centers = np.asarray(
-            [
-                (
-                    (s.window.xlo + s.window.xhi) / 2.0,
-                    (s.window.ylo + s.window.yhi) / 2.0,
-                )
-                for s in specs
-            ],
-            dtype=float,
-        ).reshape(-1, 2)
-        order = self._batch_order(centers)
-        if order is None:
-            partials, durations = self._aggregate_batch_fallback(specs)
+            partials, latency = _timed_batch(self._aggregate_batch_vectorized, specs)
         else:
-            grouped, durations = self._aggregate_batch_fallback(
-                [specs[i] for i in order.tolist()]
+            # the window scan is whatever the index answers a window query
+            # with (exact traversal for the RSMIa variants, node-based
+            # traversal for the baselines); only the folded partial survives
+            def one(spec):
+                points = _points_of(self.index.window_query(spec.window))
+                return spec.fold(spec.new_partial(), points)
+
+            partials, latency = self._run_fallback(
+                one, specs, _centers([spec.window for spec in specs])
             )
-            partials = _scatter(grouped, order)
-        return partials, latency_from_durations(durations)
+        return self._result("aggregate", partials, stats, latency)
 
     def _aggregate_batch_vectorized(self, specs) -> list:
         """Block-level push-down over the RSMI store.
@@ -375,22 +285,6 @@ class BatchQueryEngine:
                     spec.fold(partial, inside)
             partials.append(partial)
         return partials
-
-    def _aggregate_batch_fallback(self, specs):
-        """Per-query aggregates for indices without the vectorised path.
-
-        The window scan itself is whatever the index answers a window query
-        with (exact traversal for the RSMIa variants, node-based traversal
-        for the baselines); its result folds into the partial immediately,
-        so only the partial survives the query.
-        """
-
-        def one(spec):
-            answer = self.index.window_query(spec.window)
-            points = answer.points if hasattr(answer, "points") else answer
-            return spec.fold(spec.new_partial(), points)
-
-        return self._run_fallback(one, specs)
 
     # ------------------------------------------------------------ vectorised paths --
 
@@ -512,41 +406,27 @@ class BatchQueryEngine:
     def _position_members(self, position: int, cache) -> set:
         return self._load_position(position, cache)[1]
 
-    # ------------------------------------------------------------- fallback paths --
+    # -------------------------------------------------------------- fallback path --
 
-    def _point_batch_fallback(self, points: np.ndarray):
-        contains = contains_callable(self.index)
+    def _run_fallback(self, fn, items: list, keys: np.ndarray) -> tuple[list, object]:
+        """Answer ``items`` one query at a time; results in input order plus
+        the batch's per-query latency summary.
 
-        def one(row) -> bool:
-            return bool(contains(float(row[0]), float(row[1])))
-
-        return self._run_fallback(one, list(points))
-
-    def _window_batch_fallback(self, windows: list[Rect]):
-        def one(window: Rect) -> np.ndarray:
-            answer = self.index.window_query(window)
-            return answer.points if hasattr(answer, "points") else answer
-
-        return self._run_fallback(one, windows)
-
-    def _run_fallback(self, fn, items: list) -> tuple[list, list[float]]:
-        """Run the per-query path, returning results plus per-query wall times.
-
-        Durations are appended as queries finish, so in threaded mode their
-        order does not match the item order — irrelevant for percentile
-        summaries, which are order-free.
+        With ``reorder`` on, the queries run in Hilbert-key order of
+        ``keys`` (one row per item) and their results scatter back.
         """
+        order = self._batch_order(keys)
+        if order is not None:
+            items = [items[i] for i in order.tolist()]
+        results: list = []
         durations: list[float] = []
-
-        def timed(item):
+        for item in items:
             started = time.perf_counter()
-            out = fn(item)
+            results.append(fn(item))
             durations.append(time.perf_counter() - started)
-            return out
-
-        if self.mode == "threaded":
-            return run_threaded(timed, items, self.n_workers), durations
-        return run_sequential(timed, items), durations
+        if order is not None:
+            results = _scatter(results, order)
+        return results, latency_from_durations(durations)
 
     # ------------------------------------------------------------------- plumbing --
 
@@ -559,13 +439,9 @@ class BatchQueryEngine:
 
     def _vectorizes(self, operation: str) -> bool:
         """True when ``operation`` should take the vectorised RSMI path."""
-        if self.mode in ("sequential", "threaded"):
+        if self.mode == "sequential" or self._rsmi is None:
             return False
-        if self._rsmi is None:
-            return False
-        if operation == "window" and self._exact_variant:
-            return False
-        return operation in ("point", "window")
+        return operation == "point" or not self._exact_variant
 
     def _reset_stats(self):
         stats = getattr(self.index, "stats", None)
@@ -574,12 +450,14 @@ class BatchQueryEngine:
         return stats
 
     @staticmethod
-    def _total_reads(stats) -> int | None:
-        return stats.total_reads if stats is not None else None
-
-    @staticmethod
-    def _physical_reads(stats) -> int | None:
-        return getattr(stats, "physical_reads", None) if stats is not None else None
+    def _result(kind: str, values: list, stats, latency) -> QueryResult:
+        """The request's values plus the reads counted since ``stats`` was
+        reset (``None`` counts when the index keeps no stats)."""
+        access = AccessSummary(
+            logical_reads=stats.total_reads if stats is not None else None,
+            physical_reads=getattr(stats, "physical_reads", None),
+        )
+        return QueryResult(kind=kind, values=values, access=access, latency=latency)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         backing = "vectorized" if self._rsmi is not None else "fallback"

@@ -37,15 +37,13 @@ __all__ = [
 ]
 
 #: how a query workload is executed against an index
-EXECUTION_MODES = ("sequential", "batched", "threaded")
+EXECUTION_MODES = ("sequential", "batched")
 
 
 def engine_for_execution(adapter: IndexAdapter, execution: str) -> BatchQueryEngine:
     """A :class:`BatchQueryEngine` implementing a non-sequential execution mode."""
     if execution == "batched":
         return BatchQueryEngine(adapter, mode="auto")
-    if execution == "threaded":
-        return BatchQueryEngine(adapter, mode="threaded")
     raise ValueError(f"unknown execution mode {execution!r}; available: {EXECUTION_MODES}")
 
 

@@ -68,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--execution",
         default="sequential",
-        choices=("sequential", "batched", "threaded"),
-        help="query execution mode: per-query loop (default), the batched "
-        "query engine, or a thread-pooled per-query loop",
+        choices=("sequential", "batched"),
+        help="query execution mode: per-query loop (default) or the batched "
+        "query engine",
     )
     parser.add_argument(
         "--shards",
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="execute batched fallback queries in Hilbert-key order (results "
         "scatter back to input order), so co-located queries share cached "
-        "blocks (applies to --execution batched/threaded)",
+        "blocks (applies to --execution batched)",
     )
     parser.add_argument(
         "--tenants",

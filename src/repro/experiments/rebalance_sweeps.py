@@ -38,7 +38,7 @@ __all__ = ["REBALANCE_SWEEP_INDEX_NAMES", "rebalance_sweep_config", "run_rebalan
 #: default arms: one exact paged baseline, one learned block layout
 REBALANCE_SWEEP_INDEX_NAMES = ("Grid", "ZM")
 
-_ENGINE_MODES = {"sequential": "sequential", "batched": "auto", "threaded": "threaded"}
+_ENGINE_MODES = {"sequential": "sequential", "batched": "auto"}
 
 
 def rebalance_sweep_config(

@@ -62,7 +62,7 @@ SCENARIO_INDEX_NAMES = ("Grid", "HRR", "KDB", "RR*", "ZM", "RSMI")
 EXACT_RESULT_INDICES = EXACT_KINDS
 
 #: engine mode per CLI/profile execution override
-_ENGINE_MODES = {"sequential": "sequential", "batched": "auto", "threaded": "threaded"}
+_ENGINE_MODES = {"sequential": "sequential", "batched": "auto"}
 
 
 def scenario_spec_for_profile(

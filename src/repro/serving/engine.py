@@ -1,10 +1,10 @@
 """Process-pool serving: per-shard-group workers behind one batch engine.
 
 :class:`ParallelShardEngine` is the multi-core sibling of
-:class:`~repro.sharding.ShardedBatchEngine`: the same whole-batch query
-surface and the same :class:`~repro.core.batch.BatchResult` accounting, but
-the per-shard sub-batches execute in **worker processes** — real
-parallelism instead of GIL-shared threads.
+:class:`~repro.sharding.ShardedBatchEngine`: the same
+``execute(QueryRequest)`` surface, the same per-shard grouping and merge
+and the same :class:`~repro.analytics.ops.QueryResult` accounting, but the
+per-shard sub-batches execute in **worker processes**.
 
 Worker topology
 ---------------
@@ -37,15 +37,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analytics.ops import (
-    QueryRequest,
-    QueryResult,
-    warn_deprecated_entry_point,
-)
-from repro.core.batch import BatchResult, latency_from_durations, latency_uniform
+from repro.analytics.ops import QueryRequest, QueryResult
+from repro.core.batch import latency_from_durations, latency_uniform
 from repro.serving import worker as worker_mod
 from repro.serving.spec import ServingSpec
+from repro.sharding.engine import group_by_shard, merge_shard_answers, request_ops, sub_batch
 from repro.sharding.router import ShardRouter
+from repro.storage.stats import AccessSummary
 
 __all__ = ["ParallelShardEngine"]
 
@@ -183,24 +181,30 @@ class ParallelShardEngine:
         self._rr[group] = (slot + 1) % len(pools)
         return pools[slot]
 
-    def _merge_reads(self, per_group_reads) -> tuple[dict, int]:
+    @staticmethod
+    def _access(per_group_reads) -> AccessSummary:
+        """The request's reads, summed over the workers' per-shard deltas."""
         per_shard: dict[int, int] = {}
         physical = 0
         for reads in per_group_reads:
             for shard_id, (logical, phys) in reads.items():
                 per_shard[shard_id] = per_shard.get(shard_id, 0) + logical
                 physical += phys
-        return per_shard, physical
+        return AccessSummary(
+            logical_reads=sum(per_shard.values()),
+            physical_reads=physical,
+            per_shard_logical_reads=per_shard,
+        )
 
     def _finalize(
         self,
+        kind: str,
         results: list,
         per_group_reads,
         group_seconds: dict,
         group_positions: dict,
         shard_counts: dict,
-    ) -> BatchResult:
-        per_shard, physical = self._merge_reads(per_group_reads)
+    ) -> QueryResult:
         per_shard_latency = {}
         per_query = np.zeros(len(results), dtype=float)
         for group, seconds in sorted(group_seconds.items()):
@@ -213,11 +217,10 @@ class ParallelShardEngine:
                 if summary is not None:
                     per_shard_latency[shard_id] = summary
         latency = latency_from_durations(per_query) if per_shard_latency else None
-        return BatchResult(
-            results=results,
-            total_block_accesses=sum(per_shard.values()),
-            per_shard_block_accesses=per_shard,
-            total_physical_accesses=physical,
+        return QueryResult(
+            kind=kind,
+            values=results,
+            access=self._access(per_group_reads),
             latency=latency,
             per_shard_latency=per_shard_latency or None,
         )
@@ -227,129 +230,45 @@ class ParallelShardEngine:
     def execute(self, request: QueryRequest) -> QueryResult:
         """Execute one :class:`~repro.analytics.ops.QueryRequest`.
 
-        Same protocol as the single-process engines.  Aggregate requests
-        ship **partials** back from the workers — an O(1)-sized object per
-        (spec, shard) instead of the shard's window point set — and merge
-        them parent-side in shard-id order, so answers are identical to
-        :class:`~repro.sharding.ShardedBatchEngine` over the same spec.
+        Same protocol as the single-process engines.  Point, window and
+        aggregate requests are grouped per shard, each worker group gets
+        one task holding its shards' sub-batches, and the answers merge
+        parent-side in shard-id order.  Aggregate requests ship **partials**
+        back from the workers — an O(1)-sized object per (spec, shard)
+        instead of the shard's window point set — so answers are identical
+        to :class:`~repro.sharding.ShardedBatchEngine` over the same spec.
         """
-        if request.kind == "point":
-            return QueryResult.from_batch("point", self._run_points(request.points))
-        if request.kind == "window":
-            return QueryResult.from_batch("window", self._run_windows(request.windows))
         if request.kind == "knn":
-            return QueryResult.from_batch("knn", self._run_knn(request.points, request.k))
-        return QueryResult.from_batch(
-            "aggregate", self._run_aggregates(request.aggregates)
-        )
-
-    def point_queries(self, points: np.ndarray) -> BatchResult:
-        """Deprecated shim over :meth:`execute`; use
-        ``execute(QueryRequest.for_points(...))`` in new code."""
-        warn_deprecated_entry_point(
-            "ParallelShardEngine.point_queries", "execute(QueryRequest.for_points(...))"
-        )
-        return self._run_points(points)
-
-    def window_queries(self, windows) -> BatchResult:
-        """Deprecated shim over :meth:`execute`; use
-        ``execute(QueryRequest.for_windows(...))`` in new code."""
-        warn_deprecated_entry_point(
-            "ParallelShardEngine.window_queries",
-            "execute(QueryRequest.for_windows(...))",
-        )
-        return self._run_windows(windows)
-
-    def knn_queries(self, queries: np.ndarray, k: int) -> BatchResult:
-        """Deprecated shim over :meth:`execute`; use
-        ``execute(QueryRequest.for_knn(...))`` in new code."""
-        warn_deprecated_entry_point(
-            "ParallelShardEngine.knn_queries", "execute(QueryRequest.for_knn(...))"
-        )
-        return self._run_knn(queries, k)
-
-    def _run_points(self, points: np.ndarray) -> BatchResult:
-        """Membership of every row of ``points``; booleans in input order."""
-        points = np.asarray(points, dtype=float).reshape(-1, 2)
-        results: list = [False] * points.shape[0]
-        if points.shape[0] == 0:
-            return BatchResult(results=results, total_block_accesses=0,
-                               per_shard_block_accesses={},
-                               total_physical_accesses=0)
-        owners = self.router.shards_for_points(points)
-        shard_positions = {
-            int(shard_id): np.nonzero(owners == shard_id)[0].tolist()
-            for shard_id in np.unique(owners)
-        }
+            return self._run_knn(request.points, request.k)
+        kind = request.kind
+        ops = request_ops(request)
+        by_shard = group_by_shard(self.router, kind, ops)
         payloads: dict[int, dict] = {}
         group_positions: dict[int, list] = {}
         shard_counts: dict[int, dict] = {}
-        for shard_id, positions in shard_positions.items():
+        for shard_id, indices in by_shard.items():
             group = shard_id % self.n_workers
-            payloads.setdefault(group, {})[shard_id] = points[positions]
-            group_positions.setdefault(group, []).extend(positions)
-            shard_counts.setdefault(group, {})[shard_id] = len(positions)
+            payloads.setdefault(group, {})[shard_id] = sub_batch(kind, ops, indices)
+            group_positions.setdefault(group, []).extend(indices)
+            shard_counts.setdefault(group, {})[shard_id] = len(indices)
         futures = {
-            group: self._read_pool(group).submit(worker_mod.worker_points, payload)
+            group: self._read_pool(group).submit(worker_mod.worker_read, kind, payload)
             for group, payload in sorted(payloads.items())
         }
+        answers: dict[int, list] = {}
         per_group_reads = []
         group_seconds = {}
         for group, future in sorted(futures.items()):
-            shard_results, reads, seconds = future.result()
+            shard_answers, reads, seconds = future.result()
+            answers.update(shard_answers)
             per_group_reads.append(reads)
             group_seconds[group] = seconds
-            for shard_id, found in shard_results.items():
-                for position, hit in zip(shard_positions[shard_id], found):
-                    results[position] = bool(hit)
+        results = merge_shard_answers(kind, ops, by_shard, answers)
         return self._finalize(
-            results, per_group_reads, group_seconds, group_positions, shard_counts
+            kind, results, per_group_reads, group_seconds, group_positions, shard_counts
         )
 
-    def _run_windows(self, windows) -> BatchResult:
-        """Window queries; per-window results merge per-shard chunks in
-        shard-id order, exactly like the single-process sharded engine."""
-        windows = list(windows)
-        if not windows:
-            return BatchResult(results=[], total_block_accesses=0,
-                               per_shard_block_accesses={},
-                               total_physical_accesses=0)
-        by_shard: dict[int, list[int]] = {}
-        for window_index, window in enumerate(windows):
-            for shard_id in self.router.shards_for_window(window):
-                by_shard.setdefault(shard_id, []).append(window_index)
-        payloads: dict[int, dict] = {}
-        group_positions: dict[int, list] = {}
-        shard_counts: dict[int, dict] = {}
-        for shard_id, window_indices in by_shard.items():
-            group = shard_id % self.n_workers
-            payloads.setdefault(group, {})[shard_id] = [windows[i] for i in window_indices]
-            group_positions.setdefault(group, []).extend(window_indices)
-            shard_counts.setdefault(group, {})[shard_id] = len(window_indices)
-        futures = {
-            group: self._read_pool(group).submit(worker_mod.worker_windows, payload)
-            for group, payload in sorted(payloads.items())
-        }
-        parts: list[list] = [[] for _ in windows]
-        per_group_reads = []
-        group_seconds = {}
-        for group, future in sorted(futures.items()):
-            shard_chunks, reads, seconds = future.result()
-            per_group_reads.append(reads)
-            group_seconds[group] = seconds
-            for shard_id, chunks in shard_chunks.items():
-                for window_index, chunk in zip(by_shard[shard_id], chunks):
-                    parts[window_index].append((shard_id, chunk))
-        results = []
-        for chunks in parts:
-            chunks = [chunk for _, chunk in sorted(chunks, key=lambda c: c[0])]
-            chunks = [chunk for chunk in chunks if chunk.shape[0] > 0]
-            results.append(np.vstack(chunks) if chunks else _EMPTY.copy())
-        return self._finalize(
-            results, per_group_reads, group_seconds, group_positions, shard_counts
-        )
-
-    def _run_knn(self, queries: np.ndarray, k: int) -> BatchResult:
+    def _run_knn(self, queries: np.ndarray, k: int) -> QueryResult:
         """kNN: every group computes its owned shards' local top-k; the
         parent merges with the same ``(distance, px, py)`` sort + truncate
         the best-first single-threaded expansion ends in.
@@ -359,13 +278,9 @@ class ParallelShardEngine:
         expansion can prune far shards using the running k-th distance,
         a bound that cannot be shared across processes without
         serialising the fan-out, so here every shard always answers."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
         queries = np.asarray(queries, dtype=float).reshape(-1, 2)
         if queries.shape[0] == 0:
-            return BatchResult(results=[], total_block_accesses=0,
-                               per_shard_block_accesses={},
-                               total_physical_accesses=0)
+            return QueryResult(kind="knn", values=[], access=self._access([]))
         started = time.perf_counter()
         futures = {
             group: self._read_pool(group).submit(worker_mod.worker_knn, queries, k)
@@ -385,64 +300,11 @@ class ParallelShardEngine:
             results.append(
                 np.asarray([(px, py) for _, px, py in best], dtype=float).reshape(-1, 2)
             )
-        per_shard, physical = self._merge_reads(per_group_reads)
-        return BatchResult(
-            results=results,
-            total_block_accesses=sum(per_shard.values()),
-            per_shard_block_accesses=per_shard,
-            total_physical_accesses=physical,
+        return QueryResult(
+            kind="knn",
+            values=results,
+            access=self._access(per_group_reads),
             latency=latency_uniform(time.perf_counter() - started, queries.shape[0]),
-        )
-
-    def _run_aggregates(self, specs) -> BatchResult:
-        """Aggregates with worker-side push-down.
-
-        Every spec fans out to the shards its window intersects (grouped
-        per worker); each worker folds its shards' blocks into one
-        unfinalised partial per (spec, shard) and ships the partials back.
-        The parent merges them in shard-id order and finalises — the same
-        deterministic merge tree the single-process sharded engine uses,
-        so the answers agree bit-for-bit for count/sum/top-k.
-        """
-        specs = list(specs)
-        if not specs:
-            return BatchResult(results=[], total_block_accesses=0,
-                               per_shard_block_accesses={},
-                               total_physical_accesses=0)
-        by_shard: dict[int, list[int]] = {}
-        for spec_index, spec in enumerate(specs):
-            for shard_id in self.router.shards_for_window(spec.window):
-                by_shard.setdefault(shard_id, []).append(spec_index)
-        payloads: dict[int, dict] = {}
-        group_positions: dict[int, list] = {}
-        shard_counts: dict[int, dict] = {}
-        for shard_id, spec_indices in by_shard.items():
-            group = shard_id % self.n_workers
-            payloads.setdefault(group, {})[shard_id] = [specs[i] for i in spec_indices]
-            group_positions.setdefault(group, []).extend(spec_indices)
-            shard_counts.setdefault(group, {})[shard_id] = len(spec_indices)
-        futures = {
-            group: self._read_pool(group).submit(worker_mod.worker_aggregates, payload)
-            for group, payload in sorted(payloads.items())
-        }
-        parts: list[list] = [[] for _ in specs]
-        per_group_reads = []
-        group_seconds = {}
-        for group, future in sorted(futures.items()):
-            shard_partials, reads, seconds = future.result()
-            per_group_reads.append(reads)
-            group_seconds[group] = seconds
-            for shard_id, partials in shard_partials.items():
-                for spec_index, partial in zip(by_shard[shard_id], partials):
-                    parts[spec_index].append((shard_id, partial))
-        results = []
-        for spec, chunks in zip(specs, parts):
-            merged = spec.new_partial()
-            for _, partial in sorted(chunks, key=lambda c: c[0]):
-                merged = merged.merge(partial)
-            results.append(spec.finalize(merged))
-        return self._finalize(
-            results, per_group_reads, group_seconds, group_positions, shard_counts
         )
 
     # -- writes ------------------------------------------------------------------

@@ -183,10 +183,10 @@ class FrontDoor:
     Parameters
     ----------
     engine:
-        Anything with ``point_queries`` / ``window_queries`` /
-        ``knn_queries``; writes go through the engine's own
-        ``insert``/``delete`` when it advertises ``applies_writes`` (the
-        parallel engine), else through ``engine.index``.
+        Anything with ``execute(QueryRequest)``; writes go through the
+        engine's own ``insert``/``delete`` when it advertises
+        ``applies_writes`` (the parallel engine), else through
+        ``engine.index``.
     max_inflight:
         Bound on queued-but-undispatched operations; in paced mode an
         arrival finding the queue full is shed.

@@ -18,9 +18,9 @@ exactly like the single-process engines do.
 
 Answers are byte-identical to the single-threaded engine because the shard
 structures are byte-identical (see :meth:`ShardedSpatialIndex
-.build_assigned`) and each sub-batch goes through the very same per-shard
-engine code path (``prefetch_windows`` warming and the exact-RSMI adapter
-included).
+.build_assigned`) and each sub-batch goes through the very same
+:meth:`~repro.sharding.ShardedBatchEngine.run_shard` step
+(``prefetch_windows`` warming and the exact-RSMI adapter included).
 """
 
 from __future__ import annotations
@@ -35,15 +35,11 @@ from repro.sharding.engine import ShardedBatchEngine
 
 __all__ = [
     "worker_init",
-    "worker_points",
-    "worker_windows",
-    "worker_aggregates",
+    "worker_read",
     "worker_knn",
     "worker_insert",
     "worker_delete",
 ]
-
-_EMPTY = np.empty((0, 2), dtype=float)
 
 #: the process-global worker state; exactly one per worker process because
 #: every pool is constructed with ``max_workers=1``
@@ -87,84 +83,28 @@ def worker_init(spec: ServingSpec, shard_ids, mode: str = "auto", reorder: bool 
 # -- reads ---------------------------------------------------------------------
 
 
-def worker_points(groups: dict):
-    """Membership sub-batches: ``{shard_id: (n, 2) array}`` of queries.
+def worker_read(kind: str, groups: dict):
+    """Point, window or aggregate sub-batches, already routed:
+    ``{shard_id: ops}`` with ops a ``(n, 2)`` query array, a list of
+    :class:`~repro.geometry.Rect` or a list of ``AggregateSpec``.
 
-    Returns ``(results, reads, seconds)`` with ``results[shard_id]`` a
-    boolean list aligned to the shard's query array.
+    Returns ``(answers, reads, seconds)`` with ``answers[shard_id]`` the
+    shard's per-op answers in input order (see
+    :meth:`ShardedBatchEngine.run_shard`).  Aggregates come back as
+    **unfinalised** picklable partials: this is where the parallel tier's
+    push-down pays, since an O(1)-sized partial crosses the process
+    boundary instead of the shard's window point set.  The parent merges
+    answers across workers in shard-id order, exactly like the
+    single-process sharded engine merges across shards.
     """
     state = _state()
     started = time.perf_counter()
-    results: dict[int, list] = {}
-    for shard_id in sorted(groups):
-        queries = np.asarray(groups[shard_id], dtype=float).reshape(-1, 2)
-        shard = state.index.shards[shard_id]
-        shard.stats.reset()
-        if shard.is_empty:
-            results[shard_id] = [False] * queries.shape[0]
-            continue
-        batch = state.engine.engine_for(shard_id)._run_points(queries)
-        results[shard_id] = [bool(found) for found in batch.results]
+    answers = {
+        shard_id: state.engine.run_shard(shard_id, kind, groups[shard_id])
+        for shard_id in sorted(groups)
+    }
     reads = state.reads_since_reset(sorted(groups))
-    return results, reads, time.perf_counter() - started
-
-
-def worker_windows(groups: dict):
-    """Window sub-batches: ``{shard_id: list[Rect]}`` (already routed).
-
-    Returns ``(chunks, reads, seconds)`` with ``chunks[shard_id]`` the
-    shard's per-window point arrays in input order — the parent merges the
-    per-shard chunks in shard-id order, exactly like
-    :meth:`ShardedBatchEngine.window_queries`.
-    """
-    state = _state()
-    started = time.perf_counter()
-    chunks: dict[int, list] = {}
-    for shard_id in sorted(groups):
-        windows = list(groups[shard_id])
-        shard = state.index.shards[shard_id]
-        shard.stats.reset()
-        if shard.is_empty:
-            chunks[shard_id] = [_EMPTY.copy() for _ in windows]
-            continue
-        admitted = shard.prefetch_windows(windows)
-        batch = state.engine.engine_for(shard_id)._run_windows(windows)
-        if admitted:
-            # the per-shard engine reset the counters at batch entry; the
-            # speculative I/O belongs to this task's interval
-            shard.stats.record_block_prefetch(admitted)
-        chunks[shard_id] = list(batch.results)
-    reads = state.reads_since_reset(sorted(groups))
-    return chunks, reads, time.perf_counter() - started
-
-
-def worker_aggregates(groups: dict):
-    """Aggregate sub-batches: ``{shard_id: list[AggregateSpec]}`` (routed).
-
-    Returns ``(partials, reads, seconds)`` with ``partials[shard_id]`` one
-    **unfinalised** picklable partial per spec in input order — this is
-    where the parallel tier's push-down pays: an O(1)-sized partial crosses
-    the process boundary instead of the shard's window point set, and the
-    parent merges partials across workers in shard-id order exactly like
-    :meth:`ShardedBatchEngine._run_aggregates` merges across shards.
-    """
-    state = _state()
-    started = time.perf_counter()
-    partials: dict[int, list] = {}
-    for shard_id in sorted(groups):
-        specs = list(groups[shard_id])
-        shard = state.index.shards[shard_id]
-        shard.stats.reset()
-        if shard.is_empty:
-            partials[shard_id] = [spec.new_partial() for spec in specs]
-            continue
-        admitted = shard.prefetch_windows([spec.window for spec in specs])
-        batch = state.engine.engine_for(shard_id).aggregate_partials(specs)
-        if admitted:
-            shard.stats.record_block_prefetch(admitted)
-        partials[shard_id] = list(batch.results)
-    reads = state.reads_since_reset(sorted(groups))
-    return partials, reads, time.perf_counter() - started
+    return answers, reads, time.perf_counter() - started
 
 
 def worker_knn(queries: np.ndarray, k: int):

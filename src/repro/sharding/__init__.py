@@ -18,8 +18,8 @@ serving stack:
   index type per shard behind the common query/update interface, and
   :class:`~repro.sharding.engine.ShardedBatchEngine` groups query batches
   per shard and dispatches them through per-shard
-  :class:`~repro.engine.BatchQueryEngine` instances, optionally on a
-  thread pool, merging results and aggregating per-shard
+  :class:`~repro.engine.BatchQueryEngine` instances, merging results in
+  shard-id order and aggregating per-shard
   :class:`~repro.storage.AccessStats`.
 * **Rebalancing** (:mod:`repro.sharding.rebalance`): the
   :class:`~repro.sharding.rebalance.RebalanceController` watches per-shard

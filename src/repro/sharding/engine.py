@@ -1,20 +1,23 @@
-"""Parallel batch dispatch over a sharded index.
+"""Batch dispatch over a sharded index.
 
 :class:`ShardedBatchEngine` is the sharded sibling of
-:class:`~repro.engine.BatchQueryEngine`: it accepts the same whole-batch
-query calls, but first **groups the batch per shard** through the
-:class:`~repro.sharding.router.ShardRouter` and then dispatches each
-shard's sub-batch through that shard's own ``BatchQueryEngine`` (so
-RSMI-backed shards keep the vectorised level-synchronous paths).  Per-shard
-sub-batches are independent, which is what makes the dispatch loop
-embarrassingly parallel: in ``"threaded"`` mode the sub-batches run on a
-thread pool.
+:class:`~repro.engine.BatchQueryEngine`: it accepts the same
+``execute(QueryRequest)`` calls, but first **groups the batch per shard**
+through the :class:`~repro.sharding.router.ShardRouter` and then answers
+each shard's sub-batch through that shard's own ``BatchQueryEngine`` (so
+RSMI-backed shards keep the vectorised level-synchronous paths).
 
 Results are scattered back into input order and the per-shard
 :class:`~repro.storage.AccessStats` totals are aggregated onto the returned
-:class:`~repro.core.batch.BatchResult` — both as a batch total and as a
-``per_shard_block_accesses`` map, so shard-locality claims ("this window
-batch only touched two shards") stay checkable.
+:class:`~repro.analytics.ops.QueryResult` — both as a batch total and per
+shard id, so shard-locality claims ("this window batch only touched two
+shards") stay checkable.
+
+The grouping (:func:`group_by_shard`, :func:`sub_batch`) and the shard-id
+order merge (:func:`merge_shard_answers`) are module functions because the
+process-pool engine (:mod:`repro.serving.engine`) groups and merges its
+batches the same way; its workers answer each sub-batch through
+:meth:`ShardedBatchEngine.run_shard`.
 """
 
 from __future__ import annotations
@@ -23,18 +26,92 @@ import time
 
 import numpy as np
 
-from repro.analytics.ops import (
-    QueryRequest,
-    QueryResult,
-    warn_deprecated_entry_point,
-)
-from repro.core.batch import BatchResult, latency_from_durations, latency_uniform
-from repro.engine import BatchQueryEngine, ENGINE_MODES, run_threaded
+from repro.analytics.ops import QueryRequest, QueryResult
+from repro.core.batch import latency_from_durations, latency_uniform
+from repro.engine import BatchQueryEngine, ENGINE_MODES
 from repro.sharding.index import ShardedSpatialIndex
+from repro.storage.stats import AccessSummary
 
-__all__ = ["ShardedBatchEngine"]
+__all__ = [
+    "ShardedBatchEngine",
+    "group_by_shard",
+    "merge_shard_answers",
+    "request_ops",
+    "sub_batch",
+]
 
 _EMPTY = np.empty((0, 2), dtype=float)
+
+
+def request_ops(request: QueryRequest):
+    """The per-op payload of a point, window or aggregate request."""
+    if request.kind == "point":
+        return request.points
+    if request.kind == "window":
+        return request.windows
+    return request.aggregates
+
+
+def group_by_shard(router, kind: str, ops) -> dict[int, list[int]]:
+    """Op indices per touched shard id, each list in op order.
+
+    A point belongs to exactly one shard; a window (or an aggregate's
+    window) fans out to every shard its extent intersects.
+    """
+    if len(ops) == 0:
+        return {}
+    if kind == "point":
+        owners = router.shards_for_points(ops)
+        return {
+            int(shard_id): np.nonzero(owners == shard_id)[0].tolist()
+            for shard_id in np.unique(owners)
+        }
+    by_shard: dict[int, list[int]] = {}
+    for op_index, op in enumerate(ops):
+        window = op if kind == "window" else op.window
+        for shard_id in router.shards_for_window(window):
+            by_shard.setdefault(shard_id, []).append(op_index)
+    return by_shard
+
+
+def sub_batch(kind: str, ops, indices: list[int]):
+    """The ops at ``indices``: a point array for points, a list otherwise."""
+    if kind == "point":
+        return ops[indices]
+    return [ops[i] for i in indices]
+
+
+def merge_shard_answers(kind: str, ops, by_shard: dict, answers: dict) -> list:
+    """Scatter per-shard answers back to op order.
+
+    ``answers[shard_id]`` lines up with ``by_shard[shard_id]``.  A window's
+    chunks concatenate, and an aggregate's partials merge before the one
+    finalisation, both in shard-id order, so the answer does not depend on
+    the order in which shards replied.
+    """
+    if kind == "point":
+        found = [False] * len(ops)
+        for shard_id, hits in answers.items():
+            for op_index, hit in zip(by_shard[shard_id], hits):
+                found[op_index] = bool(hit)
+        return found
+    parts: list[list] = [[] for _ in ops]
+    for shard_id in sorted(answers):
+        for op_index, answer in zip(by_shard[shard_id], answers[shard_id]):
+            parts[op_index].append(answer)
+    if kind == "window":
+        results = []
+        for chunks in parts:
+            chunks = [chunk for chunk in chunks if chunk.shape[0] > 0]
+            results.append(np.vstack(chunks) if chunks else _EMPTY.copy())
+        return results
+    results = []
+    for spec, partials in zip(ops, parts):
+        merged = spec.new_partial()
+        for partial in partials:
+            merged = merged.merge(partial)
+        results.append(spec.finalize(merged))
+    return results
 
 
 class ShardedBatchEngine:
@@ -47,15 +124,7 @@ class ShardedBatchEngine:
     mode:
         ``"auto"`` (default) runs one sub-batch per touched shard through a
         per-shard :class:`BatchQueryEngine` in its ``"auto"`` mode;
-        ``"sequential"`` forces the per-query path inside every shard;
-        ``"threaded"`` keeps the per-shard engines in ``"auto"`` mode but
-        dispatches the independent shard sub-batches on a thread pool
-        (block-access counters stay exact for point/window batches — each
-        thread touches one shard's counters — and results are always
-        identical to sequential dispatch);
-        ``"vectorized"`` requires every touched shard to wrap an RSMI.
-    n_workers:
-        Thread-pool width for ``"threaded"`` dispatch.
+        ``"sequential"`` forces the per-query path inside every shard.
     cache_blocks / cache_policy:
         When ``cache_blocks`` is positive, installs one fresh shard-local
         :class:`~repro.storage.PageCache` of that capacity per shard (see
@@ -77,7 +146,6 @@ class ShardedBatchEngine:
         self,
         index: ShardedSpatialIndex,
         mode: str = "auto",
-        n_workers=None,
         cache_blocks=None,
         cache_policy: str = "lru",
         shared_pool=None,
@@ -93,7 +161,6 @@ class ShardedBatchEngine:
         index._require_built()
         self.index = index
         self.mode = mode
-        self.n_workers = n_workers
         self.reorder = bool(reorder)
         if cache_blocks is not None and shared_pool is not None:
             raise ValueError("pass either cache_blocks or shared_pool, not both")
@@ -101,8 +168,6 @@ class ShardedBatchEngine:
             index.attach_caches(cache_blocks, cache_policy)
         if shared_pool is not None:
             index.attach_shared_pool(shared_pool, budget_per_shard=shard_budget)
-        self._parallel = mode == "threaded"
-        self._shard_mode = "auto" if mode == "threaded" else mode
         #: shard_id -> (wrapped index identity, engine); rebuilt when a shard's
         #: lazily built index appears or is replaced
         self._engines: dict[int, tuple[int, BatchQueryEngine]] = {}
@@ -112,239 +177,81 @@ class ShardedBatchEngine:
     def execute(self, request: QueryRequest) -> QueryResult:
         """Execute one :class:`~repro.analytics.ops.QueryRequest`.
 
-        The canonical entry point (same protocol as
-        :class:`BatchQueryEngine`): the batch is grouped per shard, each
-        shard answers through its own engine, and per-op values scatter
-        back to request order.  Aggregate requests merge per-shard
-        *partials* in shard-id order at this router — point sets never
-        cross the shard boundary.
+        The one entry point (same protocol as :class:`BatchQueryEngine`):
+        the batch is grouped per shard, each shard answers its sub-batch
+        through :meth:`run_shard`, and per-op values scatter back to
+        request order.  Aggregate requests merge per-shard *partials* in
+        shard-id order at this router — point sets never cross the shard
+        boundary.
         """
-        if request.kind == "point":
-            return QueryResult.from_batch("point", self._run_points(request.points))
-        if request.kind == "window":
-            return QueryResult.from_batch("window", self._run_windows(request.windows))
+        self.index.stats.reset()
         if request.kind == "knn":
-            return QueryResult.from_batch("knn", self._run_knn(request.points, request.k))
-        return QueryResult.from_batch(
-            "aggregate", self._run_aggregates(request.aggregates)
-        )
-
-    def point_queries(self, points: np.ndarray) -> BatchResult:
-        """Deprecated shim over :meth:`execute`; use
-        ``execute(QueryRequest.for_points(...))`` in new code."""
-        warn_deprecated_entry_point(
-            "ShardedBatchEngine.point_queries", "execute(QueryRequest.for_points(...))"
-        )
-        return self._run_points(points)
-
-    def window_queries(self, windows) -> BatchResult:
-        """Deprecated shim over :meth:`execute`; use
-        ``execute(QueryRequest.for_windows(...))`` in new code."""
-        warn_deprecated_entry_point(
-            "ShardedBatchEngine.window_queries",
-            "execute(QueryRequest.for_windows(...))",
-        )
-        return self._run_windows(windows)
-
-    def knn_queries(self, queries: np.ndarray, k: int) -> BatchResult:
-        """Deprecated shim over :meth:`execute`; use
-        ``execute(QueryRequest.for_knn(...))`` in new code."""
-        warn_deprecated_entry_point(
-            "ShardedBatchEngine.knn_queries", "execute(QueryRequest.for_knn(...))"
-        )
-        return self._run_knn(queries, k)
-
-    def _run_points(self, points: np.ndarray) -> BatchResult:
-        """Membership of every row of ``points``; booleans in input order."""
-        points = np.asarray(points, dtype=float).reshape(-1, 2)
-        self.index.stats.reset()
-        results: list = [False] * points.shape[0]
-        if points.shape[0] == 0:
-            return BatchResult(results=results, total_block_accesses=0,
-                               per_shard_block_accesses={},
-                               total_physical_accesses=0)
-        owners = self.index.router.shards_for_points(points)
-        shard_positions = {
-            int(shard_id): np.nonzero(owners == shard_id)[0].tolist()
-            for shard_id in np.unique(owners)
-        }
-
-        def one_shard(shard_id: int) -> None:
-            positions = shard_positions[shard_id]
-            shard = self.index.shards[shard_id]
-            if shard.is_empty:
-                return
-            batch = self._engine_for(shard_id)._run_points(points[positions])
-            for position, found in zip(positions, batch.results):
-                results[position] = bool(found)
-
-        timings = self._dispatch(one_shard, sorted(shard_positions))
-        return self._finalize(results, timings=timings, shard_positions=shard_positions)
-
-    def _run_windows(self, windows) -> BatchResult:
-        """Window queries; each result is an ``(m, 2)`` array in input order.
-
-        Each window fans out only to the shards its extent intersects;
-        per-window results merge the per-shard answers in shard-id order.
-        """
-        windows = list(windows)
-        self.index.stats.reset()
-        if not windows:
-            return BatchResult(results=[], total_block_accesses=0,
-                               per_shard_block_accesses={},
-                               total_physical_accesses=0)
-        by_shard: dict[int, list[int]] = {}
-        for window_index, window in enumerate(windows):
-            for shard_id in self.index.router.shards_for_window(window):
-                by_shard.setdefault(shard_id, []).append(window_index)
-        parts: list[list[np.ndarray]] = [[] for _ in windows]
-
-        def one_shard(shard_id: int) -> None:
-            shard = self.index.shards[shard_id]
-            if shard.is_empty:
-                return
-            window_indices = by_shard[shard_id]
-            shard_windows = [windows[i] for i in window_indices]
-            # warm the shard's cache for the whole sub-batch up front: the
-            # per-scan look-ahead inside the store never covers the first
-            # position of each prefetch stride, this does (PR-7 follow-up)
-            admitted = shard.prefetch_windows(shard_windows)
-            batch = self._engine_for(shard_id)._run_windows(shard_windows)
-            if admitted:
-                # the per-shard engine resets the shard's counters at batch
-                # entry; the speculative I/O belongs to this batch interval
-                shard.stats.record_block_prefetch(admitted)
-            for window_index, chunk in zip(window_indices, batch.results):
-                parts[window_index].append((shard_id, chunk))
-
-        timings = self._dispatch(one_shard, sorted(by_shard))
-        results = []
-        for chunks in parts:
-            chunks = [chunk for _, chunk in sorted(chunks, key=lambda c: c[0])]
-            chunks = [chunk for chunk in chunks if chunk.shape[0] > 0]
-            results.append(np.vstack(chunks) if chunks else _EMPTY.copy())
-        return self._finalize(results, timings=timings, shard_positions=by_shard)
-
-    def _run_knn(self, queries: np.ndarray, k: int) -> BatchResult:
-        """kNN queries via the index's best-first shard expansion per query."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        queries = np.asarray(queries, dtype=float).reshape(-1, 2)
-        self.index.stats.reset()
-
-        durations: list[float] = []
-
-        def one(row) -> np.ndarray:
+            return self._run_knn(request.points, request.k)
+        kind = request.kind
+        ops = request_ops(request)
+        by_shard = group_by_shard(self.index.router, kind, ops)
+        answers: dict[int, list] = {}
+        timings: dict[int, float] = {}
+        for shard_id in sorted(by_shard):
             started = time.perf_counter()
-            answer = self.index.knn_query(float(row[0]), float(row[1]), k)
-            durations.append(time.perf_counter() - started)
-            return answer
+            answers[shard_id] = self.run_shard(
+                shard_id, kind, sub_batch(kind, ops, by_shard[shard_id])
+            )
+            timings[shard_id] = time.perf_counter() - started
+        results = merge_shard_answers(kind, ops, by_shard, answers)
+        return self._finalize(kind, results, timings=timings, shard_positions=by_shard)
 
-        if self._parallel and queries.shape[0] > 1:
-            # concurrent queries may share shards: results stay exact, the
-            # per-shard access counters become approximate (same caveat as
-            # BatchQueryEngine's threaded mode)
-            results = run_threaded(one, list(queries), self.n_workers)
+    def run_shard(self, shard_id: int, kind: str, ops) -> list:
+        """One shard's answers to its sub-batch of ``kind`` ops, in op order.
+
+        Resets the shard's :class:`~repro.storage.AccessStats` first.
+        Window-shaped sub-batches warm the shard's cache up front (the
+        store's per-scan look-ahead never covers the first position of a
+        prefetch stride; this does).  Aggregates answer with unfinalised
+        partials, for the caller to merge.  An empty shard answers without
+        touching its index: no hit, no points, empty partials.
+        """
+        shard = self.index.shards[shard_id]
+        shard.stats.reset()
+        if shard.is_empty:
+            if kind == "point":
+                return [False] * len(ops)
+            if kind == "window":
+                return [_EMPTY.copy() for _ in ops]
+            return [spec.new_partial() for spec in ops]
+        engine = self.engine_for(shard_id)
+        if kind == "point":
+            return engine._run_points(ops).values
+        windows = ops if kind == "window" else [spec.window for spec in ops]
+        admitted = shard.prefetch_windows(windows)
+        if kind == "window":
+            values = engine._run_windows(ops).values
         else:
-            results = [one(row) for row in queries]
+            values = engine.aggregate_partials(ops).values
+        if admitted:
+            # the per-shard engine resets the shard's counters at batch
+            # entry; the speculative I/O belongs to this batch interval
+            shard.stats.record_block_prefetch(admitted)
+        return values
+
+    def _run_knn(self, queries: np.ndarray, k: int) -> QueryResult:
+        """kNN queries via the index's best-first shard expansion per query."""
+        queries = np.asarray(queries, dtype=float).reshape(-1, 2)
+        results = []
+        durations: list[float] = []
+        for row in queries:
+            started = time.perf_counter()
+            results.append(self.index.knn_query(float(row[0]), float(row[1]), k))
+            durations.append(time.perf_counter() - started)
         # a kNN query's best-first expansion crosses shards, so latency is
         # attributed per query only, never per shard
-        return self._finalize(results, durations=durations)
-
-    def _run_aggregates(self, specs) -> BatchResult:
-        """Aggregates with per-shard partial push-down.
-
-        Each spec fans out to the shards its window intersects; every shard
-        folds its blocks into one partial per spec
-        (:meth:`BatchQueryEngine.aggregate_partials`), and this router
-        merges the partials in shard-id order before finalising — the merge
-        order is deterministic, so answers are identical however the shard
-        sub-batches interleave in threaded dispatch.
-        """
-        specs = list(specs)
-        self.index.stats.reset()
-        if not specs:
-            return BatchResult(results=[], total_block_accesses=0,
-                               per_shard_block_accesses={},
-                               total_physical_accesses=0)
-        by_shard: dict[int, list[int]] = {}
-        for spec_index, spec in enumerate(specs):
-            for shard_id in self.index.router.shards_for_window(spec.window):
-                by_shard.setdefault(shard_id, []).append(spec_index)
-        parts: list[list[tuple[int, object]]] = [[] for _ in specs]
-
-        def one_shard(shard_id: int) -> None:
-            shard = self.index.shards[shard_id]
-            if shard.is_empty:
-                return
-            spec_indices = by_shard[shard_id]
-            shard_specs = [specs[i] for i in spec_indices]
-            # same up-front cache warming as the window path: an aggregate
-            # touches exactly the blocks a window scan would
-            admitted = shard.prefetch_windows([s.window for s in shard_specs])
-            batch = self._engine_for(shard_id).aggregate_partials(shard_specs)
-            if admitted:
-                shard.stats.record_block_prefetch(admitted)
-            for spec_index, partial in zip(spec_indices, batch.results):
-                parts[spec_index].append((shard_id, partial))
-
-        timings = self._dispatch(one_shard, sorted(by_shard))
-        results = []
-        for spec, chunks in zip(specs, parts):
-            merged = spec.new_partial()
-            for _, partial in sorted(chunks, key=lambda c: c[0]):
-                merged = merged.merge(partial)
-            results.append(spec.finalize(merged))
-        return self._finalize(results, timings=timings, shard_positions=by_shard)
-
-    def aggregate_partials(self, specs) -> BatchResult:
-        """Per-spec partials merged across this index's shards (unfinalised).
-
-        The serving tier's per-worker surface: a worker's engine owns a
-        subset of shards, merges their per-shard partials locally (shard-id
-        order) and ships **one partial per spec** back to the parent, which
-        merges across workers.
-        """
-        specs = list(specs)
-        self.index.stats.reset()
-        by_shard: dict[int, list[int]] = {}
-        for spec_index, spec in enumerate(specs):
-            for shard_id in self.index.router.shards_for_window(spec.window):
-                by_shard.setdefault(shard_id, []).append(spec_index)
-        parts: list[list[tuple[int, object]]] = [[] for _ in specs]
-        for shard_id in sorted(by_shard):
-            shard = self.index.shards[shard_id]
-            if shard.is_empty:
-                continue
-            spec_indices = by_shard[shard_id]
-            shard_specs = [specs[i] for i in spec_indices]
-            admitted = shard.prefetch_windows([s.window for s in shard_specs])
-            batch = self._engine_for(shard_id).aggregate_partials(shard_specs)
-            if admitted:
-                shard.stats.record_block_prefetch(admitted)
-            for spec_index, partial in zip(spec_indices, batch.results):
-                parts[spec_index].append((shard_id, partial))
-        merged_partials = []
-        for spec, chunks in zip(specs, parts):
-            merged = spec.new_partial()
-            for _, partial in sorted(chunks, key=lambda c: c[0]):
-                merged = merged.merge(partial)
-            merged_partials.append(merged)
-        return self._finalize(merged_partials, timings=None, shard_positions=None)
+        return self._finalize("knn", results, durations=durations)
 
     # ------------------------------------------------------------------ plumbing --
 
     def engine_for(self, shard_id: int) -> BatchQueryEngine:
-        """The per-shard :class:`BatchQueryEngine` serving ``shard_id``.
-
-        Public so the process-pool serving workers can drive one shard's
-        sub-batch directly (the shard grouping having happened in the parent
-        process); the engine is cached per wrapped-index identity exactly
-        like the internal dispatch paths use it.
-        """
-        return self._engine_for(shard_id)
-
-    def _engine_for(self, shard_id: int) -> BatchQueryEngine:
+        """The per-shard :class:`BatchQueryEngine` serving ``shard_id``,
+        cached per wrapped-index identity."""
         shard = self.index.shards[shard_id]
         cached = self._engines.get(shard_id)
         if cached is not None and cached[0] == id(shard.index):
@@ -357,33 +264,18 @@ class ShardedBatchEngine:
             from repro.evaluation.adapters import RSMIExactAdapter
 
             target = RSMIExactAdapter(target)
-        engine = BatchQueryEngine(target, mode=self._shard_mode, reorder=self.reorder)
+        engine = BatchQueryEngine(target, mode=self.mode, reorder=self.reorder)
         self._engines[shard_id] = (id(shard.index), engine)
         return engine
 
-    def _dispatch(self, fn, shard_ids: list[int]) -> dict[int, float]:
-        """Run ``fn`` per shard, returning each shard's dispatch wall seconds."""
-        timings: dict[int, float] = {}
-
-        def timed(shard_id: int) -> None:
-            started = time.perf_counter()
-            fn(shard_id)
-            timings[shard_id] = time.perf_counter() - started
-
-        if self._parallel and len(shard_ids) > 1:
-            run_threaded(timed, shard_ids, self.n_workers)
-        else:
-            for shard_id in shard_ids:
-                timed(shard_id)
-        return timings
-
     def _finalize(
         self,
+        kind: str,
         results: list,
         timings: dict[int, float] | None = None,
         shard_positions: dict[int, list[int]] | None = None,
         durations: list[float] | None = None,
-    ) -> BatchResult:
+    ) -> QueryResult:
         per_shard = {
             shard.shard_id: shard.stats.total_reads
             for shard in self.index.shards
@@ -407,15 +299,17 @@ class ShardedBatchEngine:
                 per_query[positions] += elapsed / len(positions)
             if per_shard_latency:
                 latency = latency_from_durations(per_query)
-        return BatchResult(
-            results=results,
-            total_block_accesses=sum(per_shard.values()),
-            per_shard_block_accesses=per_shard,
-            total_physical_accesses=sum(
-                shard.stats.physical_reads for shard in self.index.shards
-            ),
+        access = AccessSummary(
+            logical_reads=sum(per_shard.values()),
+            physical_reads=sum(shard.stats.physical_reads for shard in self.index.shards),
+            per_shard_logical_reads=per_shard,
+        )
+        return QueryResult(
+            kind=kind,
+            values=results,
+            access=access,
             latency=latency,
-            per_shard_latency=per_shard_latency,
+            per_shard_latency=per_shard_latency or None,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -131,17 +131,12 @@ class AccessStats:
 class AccessSummary:
     """One batch's (or interval's) read accounting, in one shape.
 
-    ``BatchResult``, ``QueryResult``, ``ScenarioSnapshot`` and the sharded
-    engines historically exposed the same three numbers under different
-    names (``total_block_accesses`` vs ``block_reads`` vs per-shard dicts).
-    This is the unified record: logical reads (the paper's "# block
-    accesses"), physical (post-cache) reads, and — for sharded engines —
-    the logical reads attributed per shard id.  The old attribute names
-    survive as deprecated properties on their original carriers.
+    Every engine's ``QueryResult`` carries one of these: logical reads
+    (the paper's "# block accesses"), physical (post-cache) reads, and —
+    for sharded engines — the logical reads attributed per shard id.
 
     Fields are ``None`` when the underlying index exposes no
-    :class:`AccessStats` (the carrier previously reported ``None`` there
-    too, and callers rely on that to mean "unaccounted").
+    :class:`AccessStats` (callers rely on that to mean "unaccounted").
     """
 
     #: logical block/node reads (identical with and without a cache)

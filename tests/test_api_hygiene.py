@@ -7,6 +7,7 @@ re-exports the documented entry points.
 
 import importlib
 import pkgutil
+import warnings
 
 import pytest
 
@@ -33,6 +34,15 @@ class TestModuleHygiene:
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.__all__ lists missing name {name!r}"
+
+
+    def test_library_deprecation_warnings_fail_the_run(self):
+        """pyproject.toml's ``filterwarnings`` guard turns a DeprecationWarning
+        raised from a ``repro`` module into an error."""
+        with pytest.raises(DeprecationWarning):
+            warnings.warn_explicit(
+                "probe", DeprecationWarning, "engine.py", 1, module="repro.engine.engine"
+            )
 
 
 class TestTopLevelApi:

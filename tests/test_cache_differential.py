@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analytics import QueryRequest
 from repro.datasets import dataset_by_name
 from repro.engine import BatchQueryEngine
 from repro.evaluation.adapters import build_index_suite
@@ -86,15 +87,16 @@ def test_logical_reads_identical_with_and_without_cache(name):
     points = dataset_by_name("skewed", 400, seed=9)
     queries = points[np.random.default_rng(3).integers(0, 400, size=120)]
 
-    uncached = BatchQueryEngine(_build_adapter(name, points)).point_queries(queries)
+    request = QueryRequest.for_points(queries)
+    uncached = BatchQueryEngine(_build_adapter(name, points)).execute(request)
     cached = BatchQueryEngine(
         _build_adapter(name, points), cache_blocks=6, cache_policy="lru"
-    ).point_queries(queries)
+    ).execute(request)
 
-    assert cached.results == uncached.results
-    assert cached.total_block_accesses == uncached.total_block_accesses
-    assert uncached.total_physical_accesses == uncached.total_block_accesses
-    assert cached.total_physical_accesses <= cached.total_block_accesses
+    assert cached.values == uncached.values
+    assert cached.access.logical_reads == uncached.access.logical_reads
+    assert uncached.access.physical_reads == uncached.access.logical_reads
+    assert cached.access.physical_reads <= cached.access.logical_reads
 
 
 @pytest.mark.parametrize("sharding_policy", SHARDING_POLICY_NAMES)
@@ -127,15 +129,15 @@ def test_sharded_answers_identical_cache_on_off():
     factory = shard_index_factory("KDB", block_capacity=16)
 
     plain = ShardedSpatialIndex(factory, n_shards=4, policy="grid").build(points)
-    uncached = ShardedBatchEngine(plain).point_queries(queries)
+    uncached = ShardedBatchEngine(plain).execute(QueryRequest.for_points(queries))
 
     cached_index = ShardedSpatialIndex(factory, n_shards=4, policy="grid").build(points)
     engine = ShardedBatchEngine(cached_index, cache_blocks=8)
-    cached = engine.point_queries(queries)
+    cached = engine.execute(QueryRequest.for_points(queries))
 
-    assert cached.results == uncached.results
-    assert cached.total_block_accesses == uncached.total_block_accesses
-    assert cached.total_physical_accesses < uncached.total_physical_accesses
+    assert cached.values == uncached.values
+    assert cached.access.logical_reads == uncached.access.logical_reads
+    assert cached.access.physical_reads < uncached.access.physical_reads
 
 
 def test_shard_local_write_invalidation():
@@ -372,13 +374,13 @@ def test_shared_pool_answers_match_private_cache(name):
 
     private = BatchQueryEngine(
         _build_adapter(name, points), cache_blocks=6, cache_policy="lru"
-    ).point_queries(queries)
+    ).execute(QueryRequest.for_points(queries))
     pooled = BatchQueryEngine(
         _build_adapter(name, points), shared_pool=SharedBufferPool(6)
-    ).point_queries(queries)
+    ).execute(QueryRequest.for_points(queries))
 
-    assert pooled.results == private.results
-    assert pooled.total_block_accesses == private.total_block_accesses
+    assert pooled.values == private.values
+    assert pooled.access.logical_reads == private.access.logical_reads
 
 
 @pytest.mark.parametrize("sharding_policy", SHARDING_POLICY_NAMES)
@@ -411,15 +413,17 @@ def test_sharded_answers_identical_pool_vs_private_caches():
     factory = shard_index_factory("KDB", block_capacity=16)
 
     private_index = ShardedSpatialIndex(factory, n_shards=4, policy="hilbert").build(points)
-    private = ShardedBatchEngine(private_index, cache_blocks=8).point_queries(queries)
+    private = ShardedBatchEngine(private_index, cache_blocks=8).execute(
+        QueryRequest.for_points(queries)
+    )
 
     pooled_index = ShardedSpatialIndex(factory, n_shards=4, policy="hilbert").build(points)
     pooled = ShardedBatchEngine(
         pooled_index, shared_pool=SharedBufferPool(32)
-    ).point_queries(queries)
+    ).execute(QueryRequest.for_points(queries))
 
-    assert pooled.results == private.results
-    assert pooled.total_block_accesses == private.total_block_accesses
+    assert pooled.values == private.values
+    assert pooled.access.logical_reads == private.access.logical_reads
     assert pooled_index.shared_pool is not None
     assert pooled_index.shared_pool.accesses > 0
 
@@ -441,15 +445,16 @@ def test_batch_reorder_answers_identical():
         ordered = BatchQueryEngine(
             _build_adapter(name, points), mode="sequential", reorder=True
         )
-        assert ordered.point_queries(queries).results == plain.point_queries(queries).results
+        point_request = QueryRequest.for_points(queries)
+        assert ordered.execute(point_request).values == plain.execute(point_request).values
         for a, b in zip(
-            ordered.window_queries(windows).results,
-            plain.window_queries(windows).results,
+            ordered.execute(QueryRequest.for_windows(windows)).values,
+            plain.execute(QueryRequest.for_windows(windows)).values,
         ):
             np.testing.assert_array_equal(np.sort(a, axis=0), np.sort(b, axis=0))
         for a, b in zip(
-            ordered.knn_queries(queries[:25], 4).results,
-            plain.knn_queries(queries[:25], 4).results,
+            ordered.execute(QueryRequest.for_knn(queries[:25], 4)).values,
+            plain.execute(QueryRequest.for_knn(queries[:25], 4)).values,
         ):
             np.testing.assert_array_equal(np.sort(a, axis=0), np.sort(b, axis=0))
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analytics import QueryRequest
 from repro.core.batch import batch_knn_queries, batch_point_queries, batch_window_queries
-from repro.engine import BatchQueryEngine
+from repro.engine import ENGINE_MODES, BatchQueryEngine
 from repro.datasets import dataset_by_name
 from repro.evaluation.adapters import build_index_suite
 from repro.nn import TrainingConfig
@@ -81,17 +82,17 @@ def _assert_differential(adapter, name, points, *, n_point, n_window, n_knn, see
     # -- point queries ---------------------------------------------------------
     queries = _point_workload(points, n_point, n_point // 2, seed)
     sequential = batch_point_queries(adapter, queries)
-    batched = BatchQueryEngine(adapter).point_queries(queries)
-    assert batched.results == sequential.results, f"{name}: batched != sequential (point)"
+    batched = BatchQueryEngine(adapter).execute(QueryRequest.for_points(queries))
+    assert batched.values == sequential.results, f"{name}: batched != sequential (point)"
     truth = [tuple(q) in stored for q in np.round(queries, 12)]
-    assert batched.results == truth, f"{name}: batched != ground truth (point)"
+    assert batched.values == truth, f"{name}: batched != ground truth (point)"
 
     # -- window queries --------------------------------------------------------
     windows = generate_window_queries(points, n_window, area_fraction=0.004, seed=seed + 1)
     sequential_w = batch_window_queries(adapter, windows)
-    batched_w = BatchQueryEngine(adapter).window_queries(windows)
-    assert len(batched_w.results) == len(windows)
-    for window, got, want in zip(windows, batched_w.results, sequential_w.results):
+    batched_w = BatchQueryEngine(adapter).execute(QueryRequest.for_windows(windows))
+    assert len(batched_w.values) == len(windows)
+    for window, got, want in zip(windows, batched_w.values, sequential_w.results):
         assert np.array_equal(got, want), f"{name}: batched != sequential (window)"
         truth_points = brute_force_window(points, window)
         if name in EXACT_INDICES:
@@ -102,8 +103,8 @@ def _assert_differential(adapter, name, points, *, n_point, n_window, n_knn, see
     # -- kNN queries -----------------------------------------------------------
     knn_queries = _point_workload(points, n_knn, 0, seed + 2)
     sequential_k = batch_knn_queries(adapter, knn_queries, K)
-    batched_k = BatchQueryEngine(adapter).knn_queries(knn_queries, K)
-    for (x, y), got, want in zip(knn_queries, batched_k.results, sequential_k.results):
+    batched_k = BatchQueryEngine(adapter).execute(QueryRequest.for_knn(knn_queries, K))
+    for (x, y), got, want in zip(knn_queries, batched_k.values, sequential_k.results):
         assert np.array_equal(got, want), f"{name}: batched != sequential (kNN)"
         assert got.shape[0] == K
         assert _as_point_set(got) <= stored, name
@@ -124,33 +125,46 @@ def test_differential_all_indices(suites, distribution, name):
 
 
 @pytest.mark.parametrize("name", INDEX_NAMES)
-def test_threaded_mode_matches_sequential(suites, name):
-    """The thread-pool fallback is a pure scheduling change: identical results."""
+def test_sequential_mode_matches_reference(suites, name):
+    """``mode="sequential"`` forces the per-query loop: identical results
+    and identical block reads to the reference helpers."""
     points, adapters = suites["skewed"]
     adapter = adapters[name]
     queries = _point_workload(points, 40, 20, 31)
     windows = generate_window_queries(points, 5, area_fraction=0.004, seed=32)
 
-    threaded = BatchQueryEngine(adapter, mode="threaded", n_workers=4)
-    assert threaded.point_queries(queries).results == batch_point_queries(adapter, queries).results
+    engine = BatchQueryEngine(adapter, mode="sequential")
+    got_p = engine.execute(QueryRequest.for_points(queries))
+    want_p = batch_point_queries(adapter, queries)
+    assert got_p.values == want_p.results
+    assert got_p.access.logical_reads == want_p.total_block_accesses
     for got, want in zip(
-        threaded.window_queries(windows).results, batch_window_queries(adapter, windows).results
+        engine.execute(QueryRequest.for_windows(windows)).values,
+        batch_window_queries(adapter, windows).results,
     ):
         assert np.array_equal(got, want)
     knn_queries = points[:6]
     for got, want in zip(
-        threaded.knn_queries(knn_queries, K).results,
+        engine.execute(QueryRequest.for_knn(knn_queries, K)).values,
         batch_knn_queries(adapter, knn_queries, K).results,
     ):
         assert np.array_equal(got, want)
 
 
-def test_vectorized_mode_requires_rsmi(suites):
+def test_engine_modes(suites):
+    assert ENGINE_MODES == ("auto", "sequential")
+    with pytest.raises(TypeError):
+        BatchQueryEngine(suites["uniform"][1]["Grid"], n_workers=2)
+
+
+@pytest.mark.parametrize("mode", ["threaded", "vectorized", "warp"])
+@pytest.mark.parametrize("name", ["Grid", "RSMI"])
+def test_unknown_mode_rejected(suites, name, mode):
+    """Only ``auto`` and ``sequential`` exist; the removed thread-pool and
+    RSMI-only modes are rejected like any other unknown name."""
     _, adapters = suites["uniform"]
-    with pytest.raises(ValueError):
-        BatchQueryEngine(adapters["Grid"], mode="vectorized")
-    # and on an RSMI-backed adapter it is accepted
-    BatchQueryEngine(adapters["RSMI"], mode="vectorized")
+    with pytest.raises(ValueError, match="unknown engine mode"):
+        BatchQueryEngine(adapters[name], mode=mode)
 
 
 def test_batched_point_path_saves_block_accesses(suites):
@@ -159,9 +173,9 @@ def test_batched_point_path_saves_block_accesses(suites):
     adapter = adapters["RSMI"]
     queries = points[::2]
     sequential = batch_point_queries(adapter, queries)
-    batched = BatchQueryEngine(adapter).point_queries(queries)
-    assert batched.results == sequential.results
-    assert batched.total_block_accesses < sequential.total_block_accesses
+    batched = BatchQueryEngine(adapter).execute(QueryRequest.for_points(queries))
+    assert batched.values == sequential.results
+    assert batched.access.logical_reads < sequential.total_block_accesses
 
 
 def test_exact_variant_adapter_stays_on_exact_path(suites):
@@ -184,19 +198,20 @@ def test_exact_variant_adapter_stays_on_exact_path(suites):
     engine = BatchQueryEngine(adapter)
 
     queries = _point_workload(points, 40, 20, 53)
-    assert engine.point_queries(queries).results == batch_point_queries(adapter, queries).results
+    got_points = engine.execute(QueryRequest.for_points(queries)).values
+    assert got_points == batch_point_queries(adapter, queries).results
 
     windows = generate_window_queries(points, 6, area_fraction=0.004, seed=54)
-    batched = engine.window_queries(windows)
+    batched = engine.execute(QueryRequest.for_windows(windows))
     sequential = batch_window_queries(adapter, windows)
-    for window, got, want in zip(windows, batched.results, sequential.results):
+    for window, got, want in zip(windows, batched.values, sequential.results):
         assert np.array_equal(got, want)
         # exact recall: precisely the brute-force answer, not a subset
         assert _as_point_set(got) == _as_point_set(brute_force_window(points, window))
 
     knn_queries = points[:5]
     for got, want in zip(
-        engine.knn_queries(knn_queries, K).results,
+        engine.execute(QueryRequest.for_knn(knn_queries, K)).values,
         batch_knn_queries(adapter, knn_queries, K).results,
     ):
         assert np.array_equal(got, want)

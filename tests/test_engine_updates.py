@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analytics import QueryRequest
 from repro.baselines import GridFile
 from repro.core import RSMI, RSMIConfig
 from repro.core.batch import batch_point_queries, batch_window_queries
@@ -36,11 +37,11 @@ def rsmi_index():
 def _assert_batches_agree(index, queries, windows):
     engine = BatchQueryEngine(index)
     sequential_p = batch_point_queries(index, queries)
-    batched_p = engine.point_queries(queries)
-    assert batched_p.results == sequential_p.results
+    batched_p = engine.execute(QueryRequest.for_points(queries))
+    assert batched_p.values == sequential_p.results
     sequential_w = batch_window_queries(index, windows)
-    batched_w = engine.window_queries(windows)
-    for got, want in zip(batched_w.results, sequential_w.results):
+    batched_w = engine.execute(QueryRequest.for_windows(windows))
+    for got, want in zip(batched_w.values, sequential_w.results):
         assert np.array_equal(got, want)
 
 
@@ -53,16 +54,16 @@ class TestRSMIUpdateInterleaving:
         windows = [Rect(0.1, 0.1, 0.6, 0.6), Rect(0.0, 0.0, 1.0, 1.0)]
         engine = BatchQueryEngine(index)
 
-        before = engine.point_queries(queries)
+        before = engine.execute(QueryRequest.for_points(queries))
         # before the inserts, none of the new points exist (matching sequential)
-        assert before.results[-30:] == [False] * 30
+        assert before.values[-30:] == [False] * 30
         _assert_batches_agree(index, queries, windows)
 
         for x, y in new_points:
             index.insert(float(x), float(y))
 
-        after = engine.point_queries(queries)
-        assert after.results[-30:] == [True] * 30
+        after = engine.execute(QueryRequest.for_points(queries))
+        assert after.values[-30:] == [True] * 30
         _assert_batches_agree(index, queries, windows)
 
     def test_deletes_between_batches_are_visible(self, rsmi_index):
@@ -72,13 +73,13 @@ class TestRSMIUpdateInterleaving:
         windows = [Rect(0.0, 0.0, 1.0, 1.0)]
         engine = BatchQueryEngine(index)
 
-        assert engine.point_queries(queries).results == [True] * 60
+        assert engine.execute(QueryRequest.for_points(queries)).values == [True] * 60
 
         for x, y in victims:
             assert index.delete(float(x), float(y))
 
-        after = engine.point_queries(queries)
-        assert after.results == [False] * 20 + [True] * 40
+        after = engine.execute(QueryRequest.for_points(queries))
+        assert after.values == [False] * 20 + [True] * 40
         _assert_batches_agree(index, queries, windows)
 
     def test_mixed_update_stream_between_batches(self, rsmi_index):
@@ -96,7 +97,8 @@ class TestRSMIUpdateInterleaving:
             batch_queries = np.vstack([queries, inserts])
             _assert_batches_agree(index, batch_queries, windows)
             # the freshly inserted points are reported by the batched path
-            assert BatchQueryEngine(index).point_queries(inserts).results == [True] * 10
+            found = BatchQueryEngine(index).execute(QueryRequest.for_points(inserts)).values
+            assert found == [True] * 10
 
 
 class TestBaselineUpdateInterleaving:
@@ -117,12 +119,12 @@ class TestBaselineUpdateInterleaving:
             del live[:4]
 
             queries = np.asarray(live[::7], dtype=float)
-            batched = engine.point_queries(queries)
-            assert batched.results == batch_point_queries(index, queries).results
-            assert all(batched.results)
+            batched = engine.execute(QueryRequest.for_points(queries))
+            assert batched.values == batch_point_queries(index, queries).results
+            assert all(batched.values)
 
             window = Rect(0.25, 0.25, 0.75, 0.75)
-            got = engine.window_queries([window]).results[0]
+            got = engine.execute(QueryRequest.for_windows([window])).values[0]
             want = brute_force_window(np.asarray(live, dtype=float), window)
             assert {tuple(p) for p in np.round(got, 12)} == {
                 tuple(p) for p in np.round(want, 12)

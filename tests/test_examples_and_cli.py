@@ -93,3 +93,25 @@ class TestConsoleScript:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "rank-space" in captured
+
+    @pytest.mark.parametrize("execution", ["sequential", "batched"])
+    def test_cli_accepts_execution_modes(self, execution):
+        from repro.experiments.cli import build_parser
+
+        args = build_parser().parse_args(["fig6", "--execution", execution])
+        assert args.execution == execution
+
+    def test_cli_rejects_threaded_execution(self, capsys):
+        from repro.experiments.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fig6", "--execution", "threaded"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'threaded'" in capsys.readouterr().err
+
+    def test_runner_has_no_threaded_execution(self):
+        from repro.evaluation.runner import EXECUTION_MODES, engine_for_execution
+
+        assert EXECUTION_MODES == ("sequential", "batched")
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            engine_for_execution(object(), "threaded")

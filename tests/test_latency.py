@@ -10,6 +10,7 @@ agreement intact.
 import numpy as np
 import pytest
 
+from repro.analytics import QueryRequest
 from repro.baselines import GridFile, KDBTree
 from repro.engine import BatchQueryEngine
 from repro.geometry import Rect
@@ -324,25 +325,25 @@ class TestEngineLatency:
         points = _points(400, seed=40)
         index = KDBTree(block_capacity=16).build(points)
         engine = BatchQueryEngine(index)
-        batch = engine.point_queries(points[:100])
+        batch = engine.execute(QueryRequest.for_points(points[:100]))
         assert batch.latency is not None and batch.latency.count == 100
         windows = [Rect(0.1, 0.1, 0.4, 0.4), Rect(0.5, 0.5, 0.9, 0.9)]
-        assert engine.window_queries(windows).latency.count == 2
-        assert engine.knn_queries(points[:10], k=3).latency.count == 10
-        assert engine.point_queries(np.empty((0, 2))).latency is None
+        assert engine.execute(QueryRequest.for_windows(windows)).latency.count == 2
+        assert engine.execute(QueryRequest.for_knn(points[:10], k=3)).latency.count == 10
+        assert engine.execute(QueryRequest.for_points(np.empty((0, 2)))).latency is None
 
     def test_sharded_batches_attribute_latency_per_shard(self):
         points = _points(600, seed=41)
         factory = shard_index_factory("KDB", block_capacity=16)
         index = ShardedSpatialIndex(factory, n_shards=4, policy="grid").build(points)
         engine = ShardedBatchEngine(index)
-        batch = engine.point_queries(points[:200])
+        batch = engine.execute(QueryRequest.for_points(points[:200]))
         assert batch.latency is not None and batch.latency.count == 200
         assert batch.per_shard_latency
         assert set(batch.per_shard_latency) <= set(range(4))
         assert sum(s.count for s in batch.per_shard_latency.values()) == 200
         # kNN crosses shards per query: per-query latency only
-        knn = engine.knn_queries(points[:5], k=3)
+        knn = engine.execute(QueryRequest.for_knn(points[:5], k=3))
         assert knn.latency is not None and knn.latency.count == 5
         assert knn.per_shard_latency is None
 
@@ -354,7 +355,7 @@ class TestEngineLatency:
         index = ShardedSpatialIndex(factory, n_shards=4, policy="grid").build(points)
         engine = ShardedBatchEngine(index)
         windows = [Rect(0.05, 0.05, 0.95, 0.95) for _ in range(10)]  # span all 4
-        batch = engine.window_queries(windows)
+        batch = engine.execute(QueryRequest.for_windows(windows))
         assert batch.latency.count == 10
         # every shard served all 10 windows
         assert {s.count for s in batch.per_shard_latency.values()} == {10}

@@ -1,11 +1,12 @@
 """The unified operator API: execute(), AccessSummary, capability flags.
 
-Pins the api_redesign contracts: the deprecated per-kind entry points
-(``point_queries``/``window_queries``/``knn_queries``) are thin shims over
-the same internals ``execute`` dispatches to (identical answers and
-identical access accounting), the unified :class:`AccessSummary` carries
-what the old per-field attributes carried, and exactness is a capability
-flag on the index classes instead of a string-matched name set.
+Pins the operator-API contracts: ``execute`` is the engines' one entry
+point and answers every kind exactly like the per-query reference helpers
+(identical answers and identical access accounting), the request
+constructors reject non-finite input before any engine sees it, the
+unified :class:`AccessSummary` carries the read accounting, and exactness
+is a capability flag on the index classes instead of a string-matched
+name set.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import AggregateSpec, QueryRequest, QueryResult, exact_aggregate
+from repro.core.batch import batch_knn_queries, batch_point_queries, batch_window_queries
 from repro.engine import BatchQueryEngine
 from repro.evaluation.adapters import build_index_suite
 from repro.geometry import Rect
@@ -49,36 +51,35 @@ def kdb_adapter():
 
 
 class TestExecuteDispatch:
-    def test_point_kind_matches_shim(self, kdb_adapter):
+    def test_point_kind_matches_reference(self, kdb_adapter):
         adapter, points = kdb_adapter
         engine = BatchQueryEngine(adapter)
         queries = np.vstack([points[:5], [[0.5, 0.123]]])
         result = engine.execute(QueryRequest.for_points(queries))
         assert isinstance(result, QueryResult)
-        with pytest.deprecated_call():
-            legacy = engine.point_queries(queries)
-        assert result.values == list(legacy.results)
-        assert result.access.logical_reads == legacy.total_block_accesses
+        reference = batch_point_queries(adapter, queries)
+        assert result.values == reference.results
+        assert result.access.logical_reads == reference.total_block_accesses
 
-    def test_window_kind_matches_shim(self, kdb_adapter):
+    def test_window_kind_matches_reference(self, kdb_adapter):
         adapter, points = kdb_adapter
         engine = BatchQueryEngine(adapter)
         windows = _windows(points)
         result = engine.execute(QueryRequest.for_windows(windows))
-        with pytest.deprecated_call():
-            legacy = engine.window_queries(windows)
-        for got, want in zip(result.values, legacy.results):
+        reference = batch_window_queries(adapter, windows)
+        for got, want in zip(result.values, reference.results):
             np.testing.assert_array_equal(got, want)
+        assert result.access.logical_reads == reference.total_block_accesses
 
-    def test_knn_kind_matches_shim(self, kdb_adapter):
+    def test_knn_kind_matches_reference(self, kdb_adapter):
         adapter, points = kdb_adapter
         engine = BatchQueryEngine(adapter)
         queries = points[:4]
         result = engine.execute(QueryRequest.for_knn(queries, k=3))
-        with pytest.deprecated_call():
-            legacy = engine.knn_queries(queries, 3)
-        for got, want in zip(result.values, legacy.results):
+        reference = batch_knn_queries(adapter, queries, 3)
+        for got, want in zip(result.values, reference.results):
             np.testing.assert_array_equal(got, want)
+        assert result.access.logical_reads == reference.total_block_accesses
 
     def test_aggregate_kind(self, kdb_adapter):
         adapter, points = kdb_adapter
@@ -128,14 +129,61 @@ class TestAccessSummary:
         assert summary.logical_reads == 1
         assert summary.physical_reads == 1
 
-    def test_batch_result_deprecated_fields_still_work(self, kdb_adapter):
+    def test_result_access_carries_physical_reads(self, kdb_adapter):
         adapter, points = kdb_adapter
-        engine = BatchQueryEngine(adapter)
-        with pytest.deprecated_call():
-            legacy = engine.point_queries(points[:4])
-        access = legacy.access
-        assert access.logical_reads == legacy.total_block_accesses
-        assert access.physical_reads == legacy.total_physical_accesses
+        result = BatchQueryEngine(adapter).execute(QueryRequest.for_points(points[:4]))
+        assert result.access.logical_reads == adapter.stats.total_reads
+        assert result.access.physical_reads == adapter.stats.physical_reads
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+class TestInputContract:
+    """Bad input fails at request construction, naming the offending op."""
+
+    @pytest.mark.parametrize("bad", [(_NAN, 0.5), (0.5, _INF), (-_INF, _NAN)])
+    def test_for_points_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="point op 2 has a non-finite coordinate"):
+            QueryRequest.for_points([(0.1, 0.2), (0.3, 0.4), bad])
+
+    @pytest.mark.parametrize("bad", [(_NAN, 0.5), (0.5, _INF), (-_INF, _NAN)])
+    def test_for_knn_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="knn op 1 has a non-finite coordinate"):
+            QueryRequest.for_knn([(0.1, 0.2), bad], k=3)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [Rect(_NAN, 0.1, 0.5, 0.5), Rect(0.1, 0.1, _INF, 0.5), Rect(-_INF, _NAN, 0.5, 0.5)],
+    )
+    def test_for_windows_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="window op 1 has a non-finite window"):
+            QueryRequest.for_windows([Rect(0.1, 0.1, 0.2, 0.2), bad])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [Rect(_NAN, 0.1, 0.5, 0.5), Rect(0.1, 0.1, _INF, 0.5), Rect(-_INF, _NAN, 0.5, 0.5)],
+    )
+    def test_for_aggregates_rejects_non_finite(self, bad):
+        specs = [AggregateSpec("count", Rect(0.1, 0.1, 0.2, 0.2)), AggregateSpec("sum", bad)]
+        with pytest.raises(ValueError, match="aggregate op 1 has a non-finite window"):
+            QueryRequest.for_aggregates(specs)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_for_knn_rejects_non_positive_k(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            QueryRequest.for_knn([(0.1, 0.2)], k=k)
+
+    def test_finite_input_accepted(self):
+        assert QueryRequest.for_points([(0.0, 1.0)]).n_ops == 1
+        assert QueryRequest.for_knn(np.empty((0, 2)), k=1).n_ops == 0
+        assert QueryRequest.for_windows([Rect.unit()]).n_ops == 1
+
+    def test_per_kind_entry_points_are_gone(self, kdb_adapter):
+        engine = BatchQueryEngine(kdb_adapter[0])
+        for name in ("point_queries", "window_queries", "knn_queries"):
+            assert not hasattr(engine, name)
 
 
 class TestCapabilityFlags:

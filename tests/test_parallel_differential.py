@@ -19,6 +19,7 @@ processes cannot do — answers stay identical, access counts may not.
 import numpy as np
 import pytest
 
+from repro.analytics import QueryRequest
 from repro.datasets import dataset_by_name
 from repro.geometry import Rect
 from repro.serving import ParallelShardEngine, ServingSpec, admit_operations
@@ -64,27 +65,27 @@ def assert_identical(engine, reference, points, seed=7):
     """Every batch kind answers byte-identically; point/window reads match."""
     queries, windows, knn = query_batches(points, seed=seed)
 
-    got = engine.point_queries(queries)
-    want = reference.point_queries(queries)
-    assert got.results == want.results
-    assert got.total_block_accesses == want.total_block_accesses
-    assert got.per_shard_block_accesses == want.per_shard_block_accesses
+    got = engine.execute(QueryRequest.for_points(queries))
+    want = reference.execute(QueryRequest.for_points(queries))
+    assert got.values == want.values
+    assert got.access.logical_reads == want.access.logical_reads
+    assert got.access.per_shard_logical_reads == want.access.per_shard_logical_reads
 
-    got = engine.window_queries(windows)
-    want = reference.window_queries(windows)
-    for a, b in zip(got.results, want.results):
+    got = engine.execute(QueryRequest.for_windows(windows))
+    want = reference.execute(QueryRequest.for_windows(windows))
+    for a, b in zip(got.values, want.values):
         a = np.asarray(a, dtype=float).reshape(-1, 2)
         b = np.asarray(b, dtype=float).reshape(-1, 2)
         assert a.shape == b.shape
         np.testing.assert_array_equal(a, b)
-    assert got.total_block_accesses == want.total_block_accesses
+    assert got.access.logical_reads == want.access.logical_reads
 
-    got = engine.knn_queries(knn, k=5)
-    want = reference.knn_queries(knn, k=5)
-    for a, b in zip(got.results, want.results):
+    got = engine.execute(QueryRequest.for_knn(knn, k=5))
+    want = reference.execute(QueryRequest.for_knn(knn, k=5))
+    for a, b in zip(got.values, want.values):
         np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
     # upper bound only: workers cannot share the best-first pruning distance
-    assert got.total_block_accesses >= want.total_block_accesses
+    assert got.access.logical_reads >= want.access.logical_reads
 
 
 @pytest.mark.parametrize("kind", EXACT_KINDS)
@@ -157,8 +158,8 @@ def test_replicated_reads_see_every_write():
         reference = ShardedBatchEngine(index)
         # issue the same batch repeatedly so both replicas of each group serve
         for _ in range(4):
-            got = engine.point_queries(queries)
-            assert got.results == reference.point_queries(queries).results
+            got = engine.execute(QueryRequest.for_points(queries))
+            assert got.values == reference.execute(QueryRequest.for_points(queries)).values
 
 
 def test_rebalanced_topology_served_identically():
@@ -199,8 +200,8 @@ def test_rebalanced_topology_served_identically():
     with ParallelShardEngine(snapshot_spec, n_workers=3) as engine:
         assert_identical(engine, reference, live, seed=23)
         queries = live[:50]
-        got = engine.point_queries(queries)
-        assert got.results == [bool(index.contains(x, y)) for x, y in queries]
+        got = engine.execute(QueryRequest.for_points(queries))
+        assert got.values == [bool(index.contains(x, y)) for x, y in queries]
 
 
 def replay_pair(kind, operations, points, spec):

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analytics import QueryRequest
 from repro.core import RSMI, RSMIConfig, load_index, save_index
 from repro.engine import BatchQueryEngine
 from repro.geometry import Rect
@@ -180,10 +181,10 @@ class TestBatchEngineInvariants:
         engine = BatchQueryEngine(index)
         rng = np.random.default_rng(perm_seed)
         queries = np.vstack([points[::3], rng.random((15, 2))])
-        baseline = engine.point_queries(queries).results
+        baseline = engine.execute(QueryRequest.for_points(queries)).values
 
         perm = rng.permutation(queries.shape[0])
-        permuted = engine.point_queries(queries[perm]).results
+        permuted = engine.execute(QueryRequest.for_points(queries[perm])).values
         assert permuted == [baseline[i] for i in perm]
 
         windows = [
@@ -191,8 +192,10 @@ class TestBatchEngineInvariants:
             Rect.from_center(0.7, 0.5, 0.2, 0.4),
             Rect(0.0, 0.0, 1.0, 1.0),
         ]
-        window_baseline = engine.window_queries(windows).results
-        reordered = engine.window_queries([windows[2], windows[0], windows[1]]).results
+        window_baseline = engine.execute(QueryRequest.for_windows(windows)).values
+        reordered = engine.execute(
+            QueryRequest.for_windows([windows[2], windows[0], windows[1]])
+        ).values
         for got, want in zip(reordered, [window_baseline[2], window_baseline[0], window_baseline[1]]):
             assert np.array_equal(got, want)
 
@@ -203,15 +206,17 @@ class TestBatchEngineInvariants:
         engine = BatchQueryEngine(index)
         single = np.array([[qx, qy]])
 
-        assert engine.point_queries(single).results == [index.contains(qx, qy)]
+        assert engine.execute(QueryRequest.for_points(single)).values == [index.contains(qx, qy)]
 
         window = Rect.from_center(0.5, 0.5, 0.4, 0.3)
         assert np.array_equal(
-            engine.window_queries([window]).results[0], index.window_query(window).points
+            engine.execute(QueryRequest.for_windows([window])).values[0],
+            index.window_query(window).points,
         )
 
         assert np.array_equal(
-            engine.knn_queries(single, k).results[0], index.knn_query(qx, qy, k).points
+            engine.execute(QueryRequest.for_knn(single, k)).values[0],
+            index.knn_query(qx, qy, k).points,
         )
 
     @settings(**SETTINGS)
@@ -220,9 +225,9 @@ class TestBatchEngineInvariants:
         index = build_index(points)
         queries = np.vstack([points[::4], np.array([[0.123, 0.456], [0.9, 0.05]])])
         windows = [Rect.from_center(0.4, 0.4, 0.35, 0.35)]
-        before_p = BatchQueryEngine(index).point_queries(queries).results
-        before_w = BatchQueryEngine(index).window_queries(windows).results
-        before_k = BatchQueryEngine(index).knn_queries(queries[:5], 4).results
+        before_p = BatchQueryEngine(index).execute(QueryRequest.for_points(queries)).values
+        before_w = BatchQueryEngine(index).execute(QueryRequest.for_windows(windows)).values
+        before_k = BatchQueryEngine(index).execute(QueryRequest.for_knn(queries[:5], 4)).values
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "index.rsmi"
@@ -230,10 +235,10 @@ class TestBatchEngineInvariants:
             restored = load_index(path, expected_type=RSMI)
 
         engine = BatchQueryEngine(restored)
-        assert engine.point_queries(queries).results == before_p
-        for got, want in zip(engine.window_queries(windows).results, before_w):
+        assert engine.execute(QueryRequest.for_points(queries)).values == before_p
+        for got, want in zip(engine.execute(QueryRequest.for_windows(windows)).values, before_w):
             assert np.array_equal(got, want)
-        for got, want in zip(engine.knn_queries(queries[:5], 4).results, before_k):
+        for got, want in zip(engine.execute(QueryRequest.for_knn(queries[:5], 4)).values, before_k):
             assert np.array_equal(got, want)
 
 

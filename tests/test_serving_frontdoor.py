@@ -11,6 +11,7 @@ schedule is a pure function of the stream too.  Wall-clock behaviour
 import numpy as np
 import pytest
 
+from repro.analytics import QueryRequest
 from repro.datasets import dataset_by_name
 from repro.serving import (
     FrontDoor,
@@ -176,13 +177,15 @@ class TestAnswersIdentity:
         replay = ShardedBatchEngine(spec.build_index())
         for op, got in zip(operations, report.answers):
             if op.kind == "point":
-                want = replay.point_queries(np.array([[op.x, op.y]])).results[0]
+                request = QueryRequest.for_points(np.array([[op.x, op.y]]))
+                want = replay.execute(request).values[0]
                 assert got == want
             elif op.kind == "window":
-                want = replay.window_queries([op.window]).results[0]
+                want = replay.execute(QueryRequest.for_windows([op.window])).values[0]
                 np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
             elif op.kind == "knn":
-                want = replay.knn_queries(np.array([[op.x, op.y]]), op.k).results[0]
+                request = QueryRequest.for_knn(np.array([[op.x, op.y]]), op.k)
+                want = replay.execute(request).values[0]
                 np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
             elif op.kind == "insert":
                 replay.index.insert(op.x, op.y)

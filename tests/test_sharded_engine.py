@@ -10,6 +10,7 @@ touches the shards its queries intersect.
 import numpy as np
 import pytest
 
+from repro.analytics import QueryRequest
 from repro.datasets import dataset_by_name
 from repro.geometry import Rect
 from repro.sharding import ShardedBatchEngine, ShardedSpatialIndex, shard_index_factory
@@ -44,28 +45,28 @@ WINDOWS = [
 ]
 
 
-@pytest.mark.parametrize("mode", ["auto", "sequential", "threaded"])
+@pytest.mark.parametrize("mode", ["auto", "sequential"])
 class TestDispatchModes:
     def test_point_batches_match_sequential_queries(self, sharded_index, mode):
         engine = ShardedBatchEngine(sharded_index, mode=mode)
         queries = np.vstack([POINTS[:80], np.random.default_rng(3).random((40, 2))])
-        batch = engine.point_queries(queries)
+        batch = engine.execute(QueryRequest.for_points(queries))
         expected = [sharded_index.contains(float(x), float(y)) for x, y in queries]
-        assert batch.results == expected
+        assert batch.values == expected
         assert batch.n_queries == queries.shape[0]
 
     def test_window_batches_match_sequential_queries(self, sharded_index, mode):
         engine = ShardedBatchEngine(sharded_index, mode=mode)
-        batch = engine.window_queries(WINDOWS)
-        for window, got in zip(WINDOWS, batch.results):
+        batch = engine.execute(QueryRequest.for_windows(WINDOWS))
+        for window, got in zip(WINDOWS, batch.values):
             want = {tuple(p) for p in sharded_index.window_query(window)}
             assert {tuple(p) for p in got} == want
 
     def test_knn_batches_match_sequential_queries(self, sharded_index, mode):
         engine = ShardedBatchEngine(sharded_index, mode=mode)
         queries = POINTS[:25]
-        batch = engine.knn_queries(queries, k=6)
-        for (x, y), got in zip(queries, batch.results):
+        batch = engine.execute(QueryRequest.for_knn(queries, k=6))
+        for (x, y), got in zip(queries, batch.values):
             want = sharded_index.knn_query(float(x), float(y), 6)
             got_d = np.sort(np.hypot(got[:, 0] - x, got[:, 1] - y))
             want_d = np.sort(np.hypot(want[:, 0] - x, want[:, 1] - y))
@@ -75,26 +76,27 @@ class TestDispatchModes:
 class TestPerShardAttribution:
     def test_single_shard_window_touches_only_that_shard(self, grid_sharded):
         engine = ShardedBatchEngine(grid_sharded)
-        batch = engine.window_queries([Rect(0.6, 0.6, 0.9, 0.9)])  # upper-right only
-        assert set(batch.per_shard_block_accesses) == {3}
-        assert batch.total_block_accesses == batch.per_shard_block_accesses[3] > 0
+        # upper-right shard only
+        batch = engine.execute(QueryRequest.for_windows([Rect(0.6, 0.6, 0.9, 0.9)]))
+        assert set(batch.access.per_shard_logical_reads) == {3}
+        assert batch.access.logical_reads == batch.access.per_shard_logical_reads[3] > 0
 
     def test_spanning_window_touches_every_nonempty_shard(self, grid_sharded):
         engine = ShardedBatchEngine(grid_sharded)
-        batch = engine.window_queries([Rect.unit()])
+        batch = engine.execute(QueryRequest.for_windows([Rect.unit()]))
         nonempty = {s.shard_id for s in grid_sharded.shards if not s.is_empty}
-        assert set(batch.per_shard_block_accesses) == nonempty
+        assert set(batch.access.per_shard_logical_reads) == nonempty
 
     def test_point_batch_attribution_sums_to_total(self, grid_sharded):
         engine = ShardedBatchEngine(grid_sharded)
-        batch = engine.point_queries(POINTS[:100])
-        assert sum(batch.per_shard_block_accesses.values()) == batch.total_block_accesses
+        batch = engine.execute(QueryRequest.for_points(POINTS[:100]))
+        assert sum(batch.access.per_shard_logical_reads.values()) == batch.access.logical_reads
 
     def test_empty_batches(self, grid_sharded):
         engine = ShardedBatchEngine(grid_sharded)
-        assert engine.point_queries(np.empty((0, 2))).results == []
-        assert engine.window_queries([]).results == []
-        assert engine.knn_queries(np.empty((0, 2)), 3).results == []
+        assert engine.execute(QueryRequest.for_points(np.empty((0, 2)))).values == []
+        assert engine.execute(QueryRequest.for_windows([])).values == []
+        assert engine.execute(QueryRequest.for_knn(np.empty((0, 2)), 3)).values == []
 
 
 class TestWindowPrefetchAccounting:
@@ -120,7 +122,7 @@ class TestWindowPrefetchAccounting:
         if shared_pool_capacity is not None:
             kwargs["shared_pool"] = SharedBufferPool(shared_pool_capacity)
         engine = ShardedBatchEngine(index, **kwargs)
-        batch = engine.window_queries(TestWindowPrefetchAccounting.WINDOWS)
+        batch = engine.execute(QueryRequest.for_windows(TestWindowPrefetchAccounting.WINDOWS))
         prefetched = {
             shard.shard_id: shard.stats.prefetch_block_reads
             for shard in index.shards
@@ -133,17 +135,17 @@ class TestWindowPrefetchAccounting:
         # without a cache there is nothing to warm; with the pool every
         # touched shard issues speculative reads for its sub-batch
         assert all(count == 0 for count in plain_prefetch.values())
-        touched = set(pooled.per_shard_block_accesses)
+        touched = set(pooled.access.per_shard_logical_reads)
         assert touched
         assert all(pooled_prefetch[shard_id] > 0 for shard_id in touched)
         # prefetching is physical-only: answers and logical reads unchanged
-        assert pooled.per_shard_block_accesses == plain.per_shard_block_accesses
-        for got, want in zip(pooled.results, plain.results):
+        assert pooled.access.per_shard_logical_reads == plain.access.per_shard_logical_reads
+        for got, want in zip(pooled.values, plain.values):
             assert {tuple(p) for p in got} == {tuple(p) for p in want}
         # ...and the speculative I/O is billed to physical reads honestly,
         # yet the warm pool still beats the uncached run overall
-        assert pooled.total_physical_accesses >= sum(pooled_prefetch.values())
-        assert pooled.total_physical_accesses < plain.total_physical_accesses
+        assert pooled.access.physical_reads >= sum(pooled_prefetch.values())
+        assert pooled.access.physical_reads < plain.access.physical_reads
 
     def test_prefetch_plans_without_touching_logical_counters(self):
         from repro.storage import SharedBufferPool
@@ -167,9 +169,14 @@ class TestEngineContract:
         with pytest.raises(TypeError):
             ShardedBatchEngine(object())
 
-    def test_rejects_unknown_mode(self, grid_sharded):
-        with pytest.raises(ValueError):
-            ShardedBatchEngine(grid_sharded, mode="warp")
+    @pytest.mark.parametrize("mode", ["warp", "threaded", "vectorized"])
+    def test_rejects_unknown_mode(self, grid_sharded, mode):
+        with pytest.raises(ValueError, match="unknown engine mode"):
+            ShardedBatchEngine(grid_sharded, mode=mode)
+
+    def test_has_no_thread_pool_width(self, grid_sharded):
+        with pytest.raises(TypeError):
+            ShardedBatchEngine(grid_sharded, n_workers=2)
 
     def test_rejects_unbuilt_index(self):
         factory = shard_index_factory("Grid")
@@ -181,6 +188,6 @@ class TestEngineContract:
         factory = shard_index_factory("Grid", block_capacity=8)
         index = ShardedSpatialIndex(factory, n_shards=4, policy="grid").build(points)
         engine = ShardedBatchEngine(index)
-        assert engine.point_queries(np.array([[0.9, 0.9]])).results == [False]
+        assert engine.execute(QueryRequest.for_points(np.array([[0.9, 0.9]]))).values == [False]
         index.insert(0.9, 0.9)  # builds shard 3 lazily; engine must pick it up
-        assert engine.point_queries(np.array([[0.9, 0.9]])).results == [True]
+        assert engine.execute(QueryRequest.for_points(np.array([[0.9, 0.9]]))).values == [True]
