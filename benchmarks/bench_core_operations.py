@@ -102,7 +102,7 @@ def test_rsmi_window_query_sequential(benchmark, built_index):
         return built_index.window_query(window)
 
     result = benchmark(run)
-    assert result.count >= 0
+    assert result.shape[1] == 2
     _record_query_stats(benchmark, built_index, "sequential", 1)
 
 
@@ -121,7 +121,7 @@ def test_rsmi_knn_query(benchmark, built_index):
         return built_index.knn_query(0.35, 0.02, 10)
 
     result = benchmark(run)
-    assert result.count == 10
+    assert result.shape == (10, 2)
     _record_query_stats(benchmark, built_index, "sequential", 1)
 
 

@@ -57,7 +57,7 @@ def main() -> None:
     windows = generate_window_queries(points, 200, area_fraction=0.0004, seed=22)
     index.stats.reset()
     start = time.perf_counter()
-    sequential_results = [index.window_query(w).points for w in windows]
+    sequential_results = [index.window_query(w) for w in windows]
     sequential_s = time.perf_counter() - start
     sequential_accesses = index.stats.total_reads
 

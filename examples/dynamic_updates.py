@@ -26,7 +26,7 @@ def window_recall_sample(index: RSMI, points: np.ndarray, seed: int) -> float:
     windows = generate_window_queries(points, 40, area_fraction=0.0002, seed=seed)
     recalls = []
     for window in windows:
-        reported = index.window_query(window).points
+        reported = index.window_query(window)
         truth = brute_force_window(points, window)
         if truth.shape[0] == 0:
             recalls.append(1.0)

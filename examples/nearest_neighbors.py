@@ -39,8 +39,8 @@ def main() -> None:
     for k in (1, 10, 50):
         print(f"\nk = {k}")
         for name, query_fn, stats in (
-            ("RSMI", lambda x, y, kk: rsmi.knn_query(x, y, kk).points, rsmi.stats),
-            ("RSMIa", lambda x, y, kk: rsmi.knn_query_exact(x, y, kk).points, rsmi.stats),
+            ("RSMI", rsmi.knn_query, rsmi.stats),
+            ("RSMIa", rsmi.exact_view().knn_query, rsmi.stats),
             ("RR*", rstar.knn_query, rstar.stats),
         ):
             stats.reset()

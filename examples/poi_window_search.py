@@ -58,8 +58,8 @@ def main() -> None:
               f"recall {np.mean(recalls):.3f}")
 
     print("\n'search this area' (window) queries:")
-    evaluate("RSMI", lambda w: rsmi.window_query(w).points, rsmi.stats)
-    evaluate("RSMIa", lambda w: rsmi.window_query_exact(w).points, rsmi.stats)
+    evaluate("RSMI", rsmi.window_query, rsmi.stats)
+    evaluate("RSMIa", rsmi.exact_view().window_query, rsmi.stats)
     evaluate("HRR", hrr.window_query, hrr.stats)
     evaluate("KDB", kdb.window_query, kdb.stats)
 

@@ -37,20 +37,21 @@ def main() -> None:
 
     # 4. window query ("search this area")
     window = Rect(0.40, 0.40, 0.45, 0.45)
-    result = index.window_query(window)
+    index.stats.reset()
+    result = index.window_query(window)  # an (m, 2) point array
     truth = brute_force_window(points, window)
     print(f"\nwindow query {window.as_tuple()}:")
-    print(f"  reported {result.count} points (true answer {truth.shape[0]}), "
-          f"recall={result.count / max(truth.shape[0], 1):.3f}, "
-          f"blocks scanned={result.blocks_scanned}")
+    print(f"  reported {len(result)} points (true answer {truth.shape[0]}), "
+          f"recall={len(result) / max(truth.shape[0], 1):.3f}, "
+          f"block reads={index.stats.total_reads}")
 
     # 5. kNN query ("dinner near me")
     qx, qy = 0.5, 0.5
-    knn = index.knn_query(qx, qy, k=10)
+    knn = index.knn_query(qx, qy, k=10)  # a (10, 2) point array, nearest first
     truth_knn = brute_force_knn(points, qx, qy, 10)
     true_dists = np.hypot(truth_knn[:, 0] - qx, truth_knn[:, 1] - qy)
     print(f"\n10-NN of ({qx}, {qy}):")
-    print(f"  reported distances: {np.round(knn.distances, 4).tolist()}")
+    print(f"  reported distances: {np.round(np.hypot(*(knn - (qx, qy)).T), 4).tolist()}")
     print(f"  true distances:     {np.round(np.sort(true_dists), 4).tolist()}")
 
     # 6. updates

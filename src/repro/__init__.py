@@ -16,9 +16,17 @@ Quick start::
     points = generate_uniform(20_000, seed=7)
     index = RSMI(RSMIConfig(block_capacity=50, partition_threshold=2_000)).build(points)
 
-    index.contains(*points[0])                     # point query
-    index.window_query(Rect(0.2, 0.2, 0.3, 0.3))   # window query
-    index.knn_query(0.5, 0.5, k=10)                # k nearest neighbours
+    index.contains(*points[0])                     # point query: bool
+    index.window_query(Rect(0.2, 0.2, 0.3, 0.3))   # window query: (m, 2) array
+    index.knn_query(0.5, 0.5, k=10)                # k nearest neighbours: (k, 2) array
+    index.exact_view().knn_query(0.5, 0.5, k=10)   # RSMIa: exact, via the MBRs
+
+Every index kind — RSMI, RSMIa and the baselines — implements one protocol,
+:class:`~repro.baselines.interface.SpatialIndex`: the engines, the
+experiment runner and the sweeps call it directly, and dispatch on what a
+kind declares (``supports_exact_results``) rather than on its type name.
+``insert``/``delete`` reject NaN and infinite coordinates with a
+``ValueError`` on every kind, on the sharded index and on the durable tier.
 
 Batched execution
 -----------------
@@ -36,7 +44,7 @@ fewer block accesses per batch::
     from repro import BatchQueryEngine
     from repro.analytics import QueryRequest
 
-    engine = BatchQueryEngine(index)           # also accepts baselines/adapters
+    engine = BatchQueryEngine(index)           # any SpatialIndex kind
     engine.execute(QueryRequest.for_points(points[:1000]))   # booleans
     engine.execute(QueryRequest.for_windows(windows))        # point arrays
     engine.execute(QueryRequest.for_knn(points[:100], k=10)) # point arrays
@@ -269,7 +277,7 @@ scaling and asserts the shard-locality of window batches;
 """
 
 from repro.analytics import AggregateSpec, QueryRequest, QueryResult
-from repro.core import RSMI, RSMIConfig, PeriodicRebuilder
+from repro.core import RSMI, RSMIa, RSMIConfig, PeriodicRebuilder
 from repro.engine import BatchQueryEngine
 from repro.geometry import Rect
 from repro.sharding import ShardedBatchEngine, ShardedSpatialIndex
@@ -296,6 +304,7 @@ __version__ = "1.6.0"
 
 __all__ = [
     "RSMI",
+    "RSMIa",
     "RSMIConfig",
     "PeriodicRebuilder",
     "BatchQueryEngine",

@@ -189,11 +189,11 @@ class GridFile(SpatialIndex):
 
     # -- updates ------------------------------------------------------------------------
 
-    def insert(self, x: float, y: float) -> None:
+    def _insert(self, x: float, y: float) -> None:
         block = self._insert_raw(x, y)
         self.pager.write(block)
 
-    def delete(self, x: float, y: float) -> bool:
+    def _delete(self, x: float, y: float) -> bool:
         cx, cy = self._cell_of(x, y)
         self.stats.record_node_read()
         for block in self._buckets[cx][cy].blocks:

@@ -1,11 +1,17 @@
-"""Common interface implemented by every baseline index.
+"""The one protocol every index kind implements.
 
-The experiment harness sweeps heterogeneous indices (learned and
-traditional), so they all expose the same primitive operations with plain
-NumPy return values.  The RSMI itself returns richer result records; the
-harness adapts it through :mod:`repro.evaluation.adapters`.
+RSMI, RSMIa and the baselines (Grid, KDB, HRR, RR*, ZM) all subclass
+:class:`SpatialIndex`, so the engines, the experiment runner and the sweeps
+drive every kind with identical code and plain NumPy return values.  What
+differs between kinds is declared, not probed: ``supports_exact_results``
+says whether window/kNN answers are exact, and :meth:`extra_metrics` carries
+the kind's own build metadata.
 
-Every baseline routes its storage accesses through one
+``insert`` and ``delete`` are the write entry point of every kind: they
+enforce the write-input contract (finite coordinates) once, then call the
+kind's ``_insert``/``_delete``.
+
+Every tree baseline routes its storage accesses through one
 :class:`~repro.storage.paged.NodePager` (created here), so the shared
 :class:`~repro.storage.stats.AccessStats` counters and the optional
 :class:`~repro.storage.page_cache.PageCache` sit on a single seam instead of
@@ -19,14 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.geometry import Rect
+from repro.geometry import Rect, require_finite_point
 from repro.storage import AccessStats, NodePager, PageCache
 
 __all__ = ["SpatialIndex"]
 
 
 class SpatialIndex(abc.ABC):
-    """Abstract base class for the baseline spatial indices."""
+    """Abstract base class of every index kind."""
 
     #: short display name used in experiment tables ("Grid", "KDB", ...)
     name: str = "abstract"
@@ -78,13 +84,26 @@ class SpatialIndex(abc.ABC):
 
     # -- updates ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def insert(self, x: float, y: float) -> None:
-        """Insert a new point."""
+        """Insert a new point; non-finite coordinates raise ``ValueError``."""
+        require_finite_point(x, y)
+        self._insert(x, y)
+
+    def delete(self, x: float, y: float) -> bool:
+        """Delete a stored point; returns True when a point was removed.
+
+        Non-finite coordinates raise ``ValueError``.
+        """
+        require_finite_point(x, y)
+        return self._delete(x, y)
 
     @abc.abstractmethod
-    def delete(self, x: float, y: float) -> bool:
-        """Delete a stored point; returns True when a point was removed."""
+    def _insert(self, x: float, y: float) -> None:
+        """Insert a new point (coordinates already checked)."""
+
+    @abc.abstractmethod
+    def _delete(self, x: float, y: float) -> bool:
+        """Delete a stored point (coordinates already checked)."""
 
     # -- accounting ----------------------------------------------------------------
 
@@ -96,6 +115,10 @@ class SpatialIndex(abc.ABC):
     @abc.abstractmethod
     def n_points(self) -> int:
         """Number of live points currently stored."""
+
+    def extra_metrics(self) -> dict:
+        """Kind-specific build metadata (height, model count, error bounds)."""
+        return {}
 
     # -- helpers shared by implementations -------------------------------------------
 

@@ -187,7 +187,7 @@ class KDBTree(SpatialIndex):
 
     # -- updates -------------------------------------------------------------------------
 
-    def insert(self, x: float, y: float) -> None:
+    def _insert(self, x: float, y: float) -> None:
         if self.root is None:
             raise RuntimeError("index has not been built yet")
         if not self.root.region.contains_point(x, y):
@@ -266,7 +266,7 @@ class KDBTree(SpatialIndex):
         if len(parent.children) > self.fanout:
             self._split_internal(parent, path[:-1])
 
-    def delete(self, x: float, y: float) -> bool:
+    def _delete(self, x: float, y: float) -> bool:
         if self.root is None:
             return False
         stack = [self.root]
@@ -318,3 +318,6 @@ class KDBTree(SpatialIndex):
             height += 1
             node = node.children[0]
         return height
+
+    def extra_metrics(self) -> dict:
+        return {"height": self.height}

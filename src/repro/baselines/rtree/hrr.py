@@ -101,7 +101,7 @@ class HRRTree(SpatialIndex):
 
     # -- updates -------------------------------------------------------------------------
 
-    def insert(self, x: float, y: float) -> None:
+    def _insert(self, x: float, y: float) -> None:
         """Insert by least-enlargement descent with half/half splits of full nodes."""
         if self.root is None:
             raise RuntimeError("index has not been built yet")
@@ -150,7 +150,7 @@ class HRRTree(SpatialIndex):
             self.pager.retire(parent)
             self._replace_child(parent, [first, second], path[:-1])
 
-    def delete(self, x: float, y: float) -> bool:
+    def _delete(self, x: float, y: float) -> bool:
         if self.root is None:
             return False
         stack = [self.root]
@@ -205,6 +205,9 @@ class HRRTree(SpatialIndex):
             height += 1
             node = node.children[0]
         return height
+
+    def extra_metrics(self) -> dict:
+        return {"height": self.height}
 
     @property
     def n_leaves(self) -> int:

@@ -85,12 +85,12 @@ class RStarTree(SpatialIndex):
         self.root = RTreeNode(is_leaf=True)
         self._n_points = 0
         for x, y in points:
-            self.insert(float(x), float(y), count_accesses=False)
+            self._insert(float(x), float(y), count_accesses=False)
         return self
 
     # -- insertion ----------------------------------------------------------------------
 
-    def insert(self, x: float, y: float, count_accesses: bool = True) -> None:
+    def _insert(self, x: float, y: float, count_accesses: bool = True) -> None:
         if self.root is None:
             self.root = RTreeNode(is_leaf=True)
         self._insert_point(x, y, reinsert_allowed=True, count_accesses=count_accesses)
@@ -309,7 +309,7 @@ class RStarTree(SpatialIndex):
 
     # -- deletion ------------------------------------------------------------------------
 
-    def delete(self, x: float, y: float) -> bool:
+    def _delete(self, x: float, y: float) -> bool:
         if self.root is None:
             return False
         stack = [self.root]
@@ -364,3 +364,6 @@ class RStarTree(SpatialIndex):
             height += 1
             node = node.children[0]
         return height
+
+    def extra_metrics(self) -> dict:
+        return {"height": self.height}

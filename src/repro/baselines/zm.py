@@ -401,7 +401,7 @@ class ZMIndex(SpatialIndex):
 
     # -- updates ------------------------------------------------------------------------------
 
-    def insert(self, x: float, y: float) -> None:
+    def _insert(self, x: float, y: float) -> None:
         z = self.z_value(x, y)
         predicted, err_below, err_above = self._predict_block(z)
         begin = self.store.clamp_position(predicted - err_below)
@@ -433,7 +433,7 @@ class ZMIndex(SpatialIndex):
         self.store.note_write(target.block_id)
         self._n_points += 1
 
-    def delete(self, x: float, y: float) -> bool:
+    def _delete(self, x: float, y: float) -> bool:
         z = self.z_value(x, y)
         predicted, err_below, err_above = self._predict_block(z)
         begin = self.store.clamp_position(predicted - err_below)
@@ -468,3 +468,6 @@ class ZMIndex(SpatialIndex):
     @property
     def n_models(self) -> int:
         return sum(len(level) for level in self._levels)
+
+    def extra_metrics(self) -> dict:
+        return {"error_bounds": self.error_bounds(), "n_models": self.n_models}

@@ -4,8 +4,9 @@ Public entry points:
 
 * :class:`~repro.core.config.RSMIConfig` — build/training configuration,
 * :class:`~repro.core.rsmi.RSMI` — the learned index with point, window and
-  kNN queries (both the paper's approximate algorithms and the exact,
-  MBR-assisted "RSMIa" variants) plus insert/delete support,
+  kNN queries (the paper's approximate algorithms) plus insert/delete
+  support, and :class:`~repro.core.rsmi.RSMIa`, the same structure answering
+  window and kNN queries exactly through its MBRs,
 * :class:`~repro.core.updates.PeriodicRebuilder` — the "RSMIr" wrapper that
   rebuilds the index after a configurable fraction of insertions,
 * :class:`~repro.core.pmf.PiecewiseMappingFunction` — the piecewise CDF
@@ -23,11 +24,12 @@ from repro.core.extent import ExtendedObjectIndex
 from repro.core.persistence import load_index, save_index
 from repro.core.pmf import PiecewiseMappingFunction
 from repro.core.results import KNNQueryResult, PointQueryResult, WindowQueryResult
-from repro.core.rsmi import RSMI
+from repro.core.rsmi import RSMI, RSMIa
 from repro.core.updates import PeriodicRebuilder
 
 __all__ = [
     "RSMI",
+    "RSMIa",
     "RSMIConfig",
     "PeriodicRebuilder",
     "PiecewiseMappingFunction",

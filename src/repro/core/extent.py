@@ -119,7 +119,7 @@ class ExtendedObjectIndex:
         if exact:
             candidates = self._point_index.window_query_exact(expanded).points
         else:
-            candidates = self._point_index.window_query(expanded).points
+            candidates = self._point_index.window_query(expanded)
         results: list[Rect] = []
         for cx, cy in np.asarray(candidates).reshape(-1, 2):
             for stored in self._objects.get(self._key((float(cx), float(cy))), []):
@@ -141,11 +141,11 @@ class ExtendedObjectIndex:
         if k < 1:
             raise ValueError("k must be >= 1")
         if exact:
-            result = self._point_index.knn_query_exact(x, y, k)
+            nearest = self._point_index.knn_query_exact(x, y, k).points
         else:
-            result = self._point_index.knn_query(x, y, k)
+            nearest = self._point_index.knn_query(x, y, k)
         rects: list[Rect] = []
-        for cx, cy in result.points:
+        for cx, cy in nearest:
             for stored in self._objects.get(self._key((float(cx), float(cy))), []):
                 if not stored.deleted:
                     rects.append(stored.rect)

@@ -1,11 +1,18 @@
-"""The Recursive Spatial Model Index (RSMI).
+"""The Recursive Spatial Model Index (RSMI) and its exact-query kind RSMIa.
 
 This module implements the index structure of Sections 3.1–3.2 of the paper
-and its point query (Algorithm 1), together with the exact ("RSMIa") window
-and kNN query variants that use the per-sub-model MBRs.  The approximate
-window and kNN algorithms (Algorithms 2 and 3) live in
-:mod:`repro.core.window` and :mod:`repro.core.knn`; update handling lives in
-:mod:`repro.core.updates`.
+and its point query (Algorithm 1), together with the exact window and kNN
+traversals that use the per-sub-model MBRs.  The approximate window and kNN
+algorithms (Algorithms 2 and 3) live in :mod:`repro.core.window` and
+:mod:`repro.core.knn`; update handling lives in :mod:`repro.core.updates`.
+
+Both :class:`RSMI` and :class:`RSMIa` are
+:class:`~repro.baselines.interface.SpatialIndex` kinds: their
+``window_query``/``knn_query`` return plain ``(m, 2)`` arrays.  The
+record-returning algorithms (:meth:`RSMI.point_query`,
+:meth:`RSMI.window_query_exact`, :meth:`RSMI.knn_query_exact`, and the
+module-level ``window_query``/``knn_query``) stay available for callers that
+read ``blocks_scanned`` or ``expansions``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.baselines.interface import SpatialIndex
 from repro.core.config import RSMIConfig
 from repro.core.leaf_model import LeafModel
 from repro.core.partitioning import LearnedPartitioning, build_partitioning
@@ -24,7 +32,7 @@ from repro.core.results import KNNQueryResult, PointQueryResult, WindowQueryResu
 from repro.geometry import Rect, euclidean, mindist_point_rect, union_rects
 from repro.storage import AccessStats, BlockStore
 
-__all__ = ["RSMI", "InternalNode"]
+__all__ = ["RSMI", "RSMIa", "InternalNode"]
 
 
 class InternalNode:
@@ -75,7 +83,7 @@ class InternalNode:
         return f"InternalNode(level={self.level}, children={len(self.children)})"
 
 
-class RSMI:
+class RSMI(SpatialIndex):
     """The Recursive Spatial Model Index.
 
     Typical usage::
@@ -83,16 +91,20 @@ class RSMI:
         index = RSMI(RSMIConfig(block_capacity=50, partition_threshold=2000))
         index.build(points)                       # points: (n, 2) array
         index.contains(0.2, 0.7)                  # point query
-        index.window_query(Rect(0.1, 0.1, 0.3, 0.3)).points
-        index.knn_query(0.5, 0.5, k=10).points
+        index.window_query(Rect(0.1, 0.1, 0.3, 0.3))   # (m, 2) array
+        index.knn_query(0.5, 0.5, k=10)                 # (k, 2) array
         index.insert(0.42, 0.13)
         index.delete(0.42, 0.13)
 
     The index reports storage accesses through :attr:`stats`, which the
-    experiment harness resets around each query batch.
+    experiment harness resets around each query batch.  The optional page
+    cache sits in front of the data-block store only: the model hierarchy is
+    the in-memory directory, so node reads stay physical.
     """
 
     name = "RSMI"
+    #: Algorithms 2 and 3 are approximate: sound, but they may miss points
+    supports_exact_results = False
 
     def __init__(
         self,
@@ -100,13 +112,9 @@ class RSMI:
         stats: Optional[AccessStats] = None,
         cache=None,
     ):
+        super().__init__(stats, cache)
         self.config = config if config is not None else RSMIConfig()
-        self.stats = stats if stats is not None else AccessStats()
-        #: optional PageCache in front of the data-block store.  The model
-        #: hierarchy itself is not paged (node reads stay physical): the
-        #: learned models are the in-memory directory, the blocks are storage.
-        self.cache = cache
-        self.store = BlockStore(self.config.block_capacity, self.stats, cache=cache)
+        self.store = BlockStore(self.config.block_capacity, self.stats, cache=self.cache)
         self.root: Optional[object] = None
         self.pmf_x: Optional[PiecewiseMappingFunction] = None
         self.pmf_y: Optional[PiecewiseMappingFunction] = None
@@ -117,11 +125,7 @@ class RSMI:
 
     def build(self, points: np.ndarray) -> "RSMI":
         """Bulk-build the index over ``points`` (an ``(n, 2)`` array)."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ValueError("points must have shape (n, 2)")
-        if points.shape[0] == 0:
-            raise ValueError("cannot build an index over an empty point set")
+        points = self._validate_points(points)
         if self.cache is not None:
             # a fresh store reuses block ids 0..N: resident pages from the
             # old store would alias them and produce phantom hits
@@ -222,11 +226,11 @@ class RSMI:
         """True when a point with exactly these coordinates is stored."""
         return self.point_query(x, y).found
 
-    def window_query(self, window: Rect) -> WindowQueryResult:
+    def window_query(self, window: Rect) -> np.ndarray:
         """Algorithm 2: approximate window query (no false positives)."""
         from repro.core.window import window_query as _window_query
 
-        return _window_query(self, window)
+        return _window_query(self, window).points
 
     def window_query_exact(self, window: Rect) -> WindowQueryResult:
         """RSMIa: exact window query via an R-tree-style MBR traversal."""
@@ -258,11 +262,11 @@ class RSMI:
         points = np.vstack(collected) if collected else np.empty((0, 2), dtype=float)
         return WindowQueryResult(points=points, blocks_scanned=blocks_scanned, exact=True)
 
-    def knn_query(self, x: float, y: float, k: int) -> KNNQueryResult:
+    def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
         """Algorithm 3: approximate kNN query via search-region expansion."""
         from repro.core.knn import knn_query as _knn_query
 
-        return _knn_query(self, x, y, k)
+        return _knn_query(self, x, y, k).points
 
     def knn_query_exact(self, x: float, y: float, k: int) -> KNNQueryResult:
         """RSMIa: exact kNN via best-first traversal of the MBR hierarchy."""
@@ -313,14 +317,13 @@ class RSMI:
 
     # ------------------------------------------------------------------ updates --
 
-    def insert(self, x: float, y: float) -> None:
+    def _insert(self, x: float, y: float) -> None:
         """Insert a new point (paper Section 5)."""
         from repro.core.updates import insert_point
 
         insert_point(self, x, y)
 
-    def delete(self, x: float, y: float) -> bool:
-        """Delete a stored point; returns True when a point was removed."""
+    def _delete(self, x: float, y: float) -> bool:
         from repro.core.updates import delete_point
 
         return delete_point(self, x, y)
@@ -329,8 +332,22 @@ class RSMI:
 
     def attach_cache(self, cache) -> None:
         """Route all subsequent data-block reads through ``cache`` (None detaches)."""
-        self.cache = cache
+        super().attach_cache(cache)
         self.store.attach_cache(cache)
+
+    # ------------------------------------------------------------------ kinds --
+
+    def exact_view(self) -> "RSMIa":
+        """This structure as the :class:`RSMIa` kind.
+
+        The view shares every attribute with this index (one attribute
+        dict): models, blocks, stats and cache are the same objects, so an
+        insert, delete, rebuild or cache attach through either is visible to
+        both.  Only the window and kNN algorithms differ.
+        """
+        view = RSMIa.__new__(RSMIa)
+        view.__dict__ = self.__dict__
+        return view
 
     # ------------------------------------------------------------------ accounting --
 
@@ -362,6 +379,13 @@ class RSMI:
             if not node.is_leaf:
                 stack.extend(node.children.values())
         return total
+
+    def extra_metrics(self) -> dict:
+        return {
+            "height": self.height,
+            "n_models": self.n_models,
+            "error_bounds": self.error_bounds(),
+        }
 
     def error_bounds(self) -> tuple[int, int]:
         """Maximum (err_below, err_above) over all leaf models (Table 4)."""
@@ -410,11 +434,29 @@ class RSMI:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.root is None:
-            return "RSMI(unbuilt)"
+            return f"{self.name}(unbuilt)"
         return (
-            f"RSMI(points={self.n_points}, height={self.height}, "
+            f"{self.name}(points={self.n_points}, height={self.height}, "
             f"models={self.n_models}, blocks={self.store.n_blocks})"
         )
+
+
+class RSMIa(RSMI):
+    """RSMIa (paper Section 6.2.3): the RSMI structure answering window and
+    kNN queries exactly, through the MBR traversals.
+
+    Build one directly, or view a built RSMI as this kind with
+    :meth:`RSMI.exact_view` (one structure, two query algorithms).
+    """
+
+    name = "RSMIa"
+    supports_exact_results = True
+
+    def window_query(self, window: Rect) -> np.ndarray:
+        return self.window_query_exact(window).points
+
+    def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
+        return self.knn_query_exact(x, y, k).points
 
 
 def _outward_positions(predicted: int, begin: int, end: int) -> Iterable[int]:

@@ -10,7 +10,7 @@ underlying index allows:
   predict whole query groups at once, and every touched data block is scanned
   **once per batch** instead of once per query.
 * Query types without a vectorisable algorithm (the RSMI's adaptive
-  expanding-region kNN, the exact MBR-traversal variants) and the traditional
+  expanding-region kNN, RSMIa's exact MBR traversals) and the traditional
   baseline indices fall back to one uniform per-query loop.
 
 The engine produces results **identical** to the sequential query paths — the
@@ -18,11 +18,10 @@ differential harness in ``tests/test_engine_differential.py`` asserts exact
 agreement across every index type — while touching each storage block at most
 once per batch, which is where the batched speedup comes from.
 
-The engine works against anything exposing the common query surface: a raw
-:class:`~repro.core.rsmi.RSMI`, a baseline
-:class:`~repro.baselines.interface.SpatialIndex`, or an evaluation
-:class:`~repro.evaluation.adapters.IndexAdapter` (adapters wrapping an RSMI
-are unwrapped so the vectorised path applies to them too).
+The engine serves any :class:`~repro.baselines.interface.SpatialIndex` and
+dispatches on what the index declares: every :class:`~repro.core.rsmi.RSMI`
+takes the vectorised point path, and windows and aggregates take it too
+unless the index declares exact results (the RSMIa kind).
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import time
 import numpy as np
 
 from repro.analytics.ops import QueryRequest, QueryResult
-from repro.core.batch import contains_callable, latency_from_durations, latency_uniform
-from repro.core.rsmi import _outward_positions
+from repro.core.batch import latency_from_durations, latency_uniform
+from repro.core.rsmi import RSMI, _outward_positions
 from repro.core.window import window_corner_points
 from repro.engine.routing import route_batch
 from repro.geometry import Rect
@@ -56,11 +55,6 @@ def _scatter(grouped: list, order) -> list:
     return results
 
 
-def _points_of(answer) -> np.ndarray:
-    """The point array of a query answer (result record or bare array)."""
-    return answer.points if hasattr(answer, "points") else answer
-
-
 def _centers(windows) -> np.ndarray:
     """``(n, 2)`` window centres: the reorder keys of window-shaped ops."""
     return np.asarray(
@@ -81,8 +75,7 @@ class BatchQueryEngine:
     Parameters
     ----------
     index:
-        The index to query: an RSMI, a baseline index, or an evaluation
-        adapter.
+        The :class:`~repro.baselines.interface.SpatialIndex` to query.
     mode:
         ``"auto"`` (default) uses the vectorised path wherever one exists and
         the per-query fallback elsewhere; ``"sequential"`` forces the
@@ -111,10 +104,10 @@ class BatchQueryEngine:
         tests); the vectorised RSMI paths already touch every block once
         per batch and ignore the flag.
 
-    Every request resets the index's :class:`AccessStats` (when present)
-    and reports the batch's total logical and physical block/node reads on
-    the returned :class:`~repro.analytics.ops.QueryResult`, so speedups
-    stay attributable to saved block accesses.
+    Every request resets the index's :class:`AccessStats` and reports the
+    batch's total logical and physical block/node reads on the returned
+    :class:`~repro.analytics.ops.QueryResult`, so speedups stay
+    attributable to saved block accesses.
     """
 
     def __init__(
@@ -140,27 +133,15 @@ class BatchQueryEngine:
             name = pool_client if pool_client is not None else f"engine-{len(shared_pool.clients())}"
             cache = shared_pool.client(name, pool_budget)
         if cache is not None:
-            attach = getattr(index, "attach_cache", None)
-            if attach is None:
-                raise ValueError(
-                    f"{type(index).__name__} does not support page caches "
-                    "(no attach_cache method)"
-                )
-            attach(cache)
+            index.attach_cache(cache)
         #: the index's page cache after construction (None when uncached)
-        self.cache = cache if cache is not None else getattr(index, "cache", None)
-
-        target = getattr(index, "wrapped", index)
-        is_rsmi_like = (
-            hasattr(target, "route_to_leaf")
-            and hasattr(target, "store")
-            and hasattr(target, "config")
-        )
-        #: the underlying RSMI when the vectorised path applies, else None
-        self._rsmi = target if is_rsmi_like else None
-        #: adapters for the exact (RSMIa) variants answer window/kNN queries
-        #: through a different algorithm, so those fall back to per-query mode
-        self._exact_variant = bool(getattr(index, "prefers_exact_queries", False))
+        self.cache = index.cache
+        vectorizes = mode == "auto" and isinstance(index, RSMI)
+        #: the RSMI when the vectorised point path applies, else None
+        self._rsmi = index if vectorizes else None
+        #: windows and aggregates vectorise only over the approximate
+        #: algorithm; RSMIa answers them through its exact MBR traversal
+        self._vectorizes_windows = vectorizes and not index.supports_exact_results
 
     # ------------------------------------------------------------------ queries --
 
@@ -185,10 +166,10 @@ class BatchQueryEngine:
         """Membership of every row of ``points``; results are booleans in input order."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         stats = self._reset_stats()
-        if self._vectorizes("point") and points.shape[0] > 0:
+        if self._rsmi is not None and points.shape[0] > 0:
             found, latency = _timed_batch(self._point_batch_vectorized, points)
         else:
-            contains = contains_callable(self.index)
+            contains = self.index.contains
 
             def one(row) -> bool:
                 return bool(contains(float(row[0]), float(row[1])))
@@ -200,14 +181,12 @@ class BatchQueryEngine:
         """Window queries; each result is an ``(m, 2)`` point array in input order."""
         windows = list(windows)
         stats = self._reset_stats()
-        if self._vectorizes("window") and windows:
+        if self._vectorizes_windows and windows:
             results, latency = _timed_batch(self._window_batch_vectorized, windows)
         else:
-
-            def one(window: Rect) -> np.ndarray:
-                return _points_of(self.index.window_query(window))
-
-            results, latency = self._run_fallback(one, windows, _centers(windows))
+            results, latency = self._run_fallback(
+                self.index.window_query, windows, _centers(windows)
+            )
         return self._result("window", results, stats, latency)
 
     def _run_knn(self, queries: np.ndarray, k: int) -> QueryResult:
@@ -220,9 +199,10 @@ class BatchQueryEngine:
         """
         queries = np.asarray(queries, dtype=float).reshape(-1, 2)
         stats = self._reset_stats()
+        knn_query = self.index.knn_query
 
         def one(row) -> np.ndarray:
-            return _points_of(self.index.knn_query(float(row[0]), float(row[1]), k))
+            return knn_query(float(row[0]), float(row[1]), k)
 
         results, latency = self._run_fallback(one, list(queries), queries)
         return self._result("knn", results, stats, latency)
@@ -248,15 +228,14 @@ class BatchQueryEngine:
         """
         specs = list(specs)
         stats = self._reset_stats()
-        if self._vectorizes("window") and specs:
+        if self._vectorizes_windows and specs:
             partials, latency = _timed_batch(self._aggregate_batch_vectorized, specs)
         else:
             # the window scan is whatever the index answers a window query
-            # with (exact traversal for the RSMIa variants, node-based
-            # traversal for the baselines); only the folded partial survives
+            # with (exact traversal for RSMIa, node-based traversal for the
+            # baselines); only the folded partial survives
             def one(spec):
-                points = _points_of(self.index.window_query(spec.window))
-                return spec.fold(spec.new_partial(), points)
+                return spec.fold(spec.new_partial(), self.index.window_query(spec.window))
 
             partials, latency = self._run_fallback(
                 one, specs, _centers([spec.window for spec in specs])
@@ -437,25 +416,16 @@ class BatchQueryEngine:
             return None
         return hilbert_sort_order(keys)
 
-    def _vectorizes(self, operation: str) -> bool:
-        """True when ``operation`` should take the vectorised RSMI path."""
-        if self.mode == "sequential" or self._rsmi is None:
-            return False
-        return operation == "point" or not self._exact_variant
-
     def _reset_stats(self):
-        stats = getattr(self.index, "stats", None)
-        if stats is not None:
-            stats.reset()
+        stats = self.index.stats
+        stats.reset()
         return stats
 
     @staticmethod
     def _result(kind: str, values: list, stats, latency) -> QueryResult:
-        """The request's values plus the reads counted since ``stats`` was
-        reset (``None`` counts when the index keeps no stats)."""
+        """The request's values plus the reads counted since ``stats`` was reset."""
         access = AccessSummary(
-            logical_reads=stats.total_reads if stats is not None else None,
-            physical_reads=getattr(stats, "physical_reads", None),
+            logical_reads=stats.total_reads, physical_reads=stats.physical_reads
         )
         return QueryResult(kind=kind, values=values, access=access, latency=latency)
 

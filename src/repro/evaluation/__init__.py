@@ -1,4 +1,4 @@
-"""Experiment harness: adapters, metrics, runner and table rendering.
+"""Experiment harness: the index suite, metrics, runner and table rendering.
 
 The paper's evaluation sweeps six index structures over five data
 distributions and several workload parameters, reporting per-query response
@@ -6,21 +6,15 @@ time, block accesses and (for the learned indices) recall.  This package
 provides the machinery the :mod:`repro.experiments` modules use to regenerate
 each table and figure:
 
-* :mod:`repro.evaluation.adapters` — a uniform facade over RSMI, RSMIa and
-  the baselines,
+* :mod:`repro.evaluation.adapters` — the index suite: every kind (RSMI,
+  RSMIa and the baselines) by name,
 * :mod:`repro.evaluation.metrics` — recall and aggregate statistics,
 * :mod:`repro.evaluation.runner` — builds index suites and measures query
   workloads,
 * :mod:`repro.evaluation.reporting` — plain-text table rendering of results.
 """
 
-from repro.evaluation.adapters import (
-    IndexAdapter,
-    BaselineAdapter,
-    RSMIAdapter,
-    RSMIExactAdapter,
-    build_index_suite,
-)
+from repro.evaluation.adapters import INDEX_NAMES, build_index_suite
 from repro.evaluation.metrics import knn_recall, window_recall
 from repro.evaluation.runner import (
     BuildReport,
@@ -38,10 +32,7 @@ __all__ = [
     "export_results",
     "write_csv",
     "write_json",
-    "IndexAdapter",
-    "BaselineAdapter",
-    "RSMIAdapter",
-    "RSMIExactAdapter",
+    "INDEX_NAMES",
     "build_index_suite",
     "knn_recall",
     "window_recall",

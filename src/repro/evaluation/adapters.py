@@ -1,15 +1,13 @@
-"""Uniform adapters over the heterogeneous index implementations.
+"""The index suite: every index kind the experiments sweep, by name.
 
-The baselines return plain NumPy arrays while RSMI returns rich result
-records; the adapters normalise both to the same small interface so the
-experiment runner can sweep every index with identical code.  ``RSMI`` and
-``RSMIa`` (the exact-query variant, Section 6.2.3 of the paper) are two
-adapters over the *same* built index, exactly as in the paper.
+Every kind is a :class:`~repro.baselines.interface.SpatialIndex`, so the
+experiment runner drives them all with identical code.  ``RSMI`` and
+``RSMIa`` (the exact-query kind, Section 6.2.3 of the paper) are two views of
+the *same* built RSMI, exactly as in the paper.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,187 +15,12 @@ import numpy as np
 from repro.baselines import GridFile, HRRTree, KDBTree, RStarTree, ZMConfig, ZMIndex
 from repro.baselines.interface import SpatialIndex
 from repro.core import RSMI, RSMIConfig
-from repro.geometry import Rect
 from repro.nn import TrainingConfig
-from repro.storage import AccessStats
 
-__all__ = [
-    "IndexAdapter",
-    "BaselineAdapter",
-    "RSMIAdapter",
-    "RSMIExactAdapter",
-    "build_index_suite",
-    "INDEX_NAMES",
-]
+__all__ = ["build_index_suite", "INDEX_NAMES"]
 
 #: Index names in the order the paper's figures list them.
 INDEX_NAMES = ("Grid", "HRR", "KDB", "RR*", "RSMI", "RSMIa", "ZM")
-
-
-class IndexAdapter(abc.ABC):
-    """Minimal interface the experiment runner drives."""
-
-    name: str = "abstract"
-
-    #: True when window/kNN queries go through the exact (MBR-traversal)
-    #: algorithms; the batched query engine then keeps those on the
-    #: per-query path instead of the vectorised approximate one.
-    prefers_exact_queries: bool = False
-
-    #: capability flag: window/kNN/aggregate answers agree exactly with a
-    #: brute-force oracle (replaces string-matching index names against the
-    #: deprecated ``EXACT_RESULT_INDICES`` set)
-    supports_exact_results: bool = False
-
-    #: capability flag: answers carry concrete stored points, so the derived
-    #: attribute column (and the aggregate operators over it) is available
-    supports_attributes: bool = True
-
-    @abc.abstractmethod
-    def point_query(self, x: float, y: float) -> bool:
-        """True when the point is stored."""
-
-    @abc.abstractmethod
-    def window_query(self, window: Rect) -> np.ndarray:
-        """Points reported inside ``window`` (possibly approximate for learned indices)."""
-
-    @abc.abstractmethod
-    def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
-        """Reported k nearest neighbours (possibly approximate)."""
-
-    @abc.abstractmethod
-    def insert(self, x: float, y: float) -> None:
-        """Insert a point."""
-
-    @abc.abstractmethod
-    def delete(self, x: float, y: float) -> bool:
-        """Delete a point."""
-
-    @abc.abstractmethod
-    def size_bytes(self) -> int:
-        """Index size."""
-
-    @property
-    @abc.abstractmethod
-    def stats(self) -> AccessStats:
-        """Shared access counters (reset by the runner around measurements)."""
-
-    def extra_metrics(self) -> dict:
-        """Index-specific metadata (height, error bounds, model count, ...)."""
-        return {}
-
-    def attach_cache(self, cache) -> None:
-        """Install a :class:`~repro.storage.PageCache` on the wrapped index."""
-        self.wrapped.attach_cache(cache)
-
-    @property
-    def cache(self):
-        """The wrapped index's page cache (None when uncached)."""
-        return getattr(self.wrapped, "cache", None)
-
-
-class BaselineAdapter(IndexAdapter):
-    """Pass-through adapter for the baseline indices."""
-
-    def __init__(self, index: SpatialIndex, name: Optional[str] = None):
-        self._index = index
-        self.name = name if name is not None else index.name
-
-    def point_query(self, x: float, y: float) -> bool:
-        return self._index.contains(x, y)
-
-    def window_query(self, window: Rect) -> np.ndarray:
-        return self._index.window_query(window)
-
-    def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
-        return self._index.knn_query(x, y, k)
-
-    def insert(self, x: float, y: float) -> None:
-        self._index.insert(x, y)
-
-    def delete(self, x: float, y: float) -> bool:
-        return self._index.delete(x, y)
-
-    def size_bytes(self) -> int:
-        return self._index.size_bytes()
-
-    @property
-    def supports_exact_results(self) -> bool:
-        return bool(getattr(self._index, "supports_exact_results", True))
-
-    @property
-    def stats(self) -> AccessStats:
-        return self._index.stats
-
-    def extra_metrics(self) -> dict:
-        extras: dict = {}
-        if hasattr(self._index, "height"):
-            extras["height"] = self._index.height
-        if hasattr(self._index, "error_bounds"):
-            extras["error_bounds"] = self._index.error_bounds()
-        if hasattr(self._index, "n_models"):
-            extras["n_models"] = self._index.n_models
-        return extras
-
-    @property
-    def wrapped(self) -> SpatialIndex:
-        return self._index
-
-
-class RSMIAdapter(IndexAdapter):
-    """RSMI with the paper's approximate window/kNN algorithms (Algorithms 2–3)."""
-
-    name = "RSMI"
-
-    def __init__(self, index: RSMI):
-        self._index = index
-
-    def point_query(self, x: float, y: float) -> bool:
-        return self._index.contains(x, y)
-
-    def window_query(self, window: Rect) -> np.ndarray:
-        return self._index.window_query(window).points
-
-    def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
-        return self._index.knn_query(x, y, k).points
-
-    def insert(self, x: float, y: float) -> None:
-        self._index.insert(x, y)
-
-    def delete(self, x: float, y: float) -> bool:
-        return self._index.delete(x, y)
-
-    def size_bytes(self) -> int:
-        return self._index.size_bytes()
-
-    @property
-    def stats(self) -> AccessStats:
-        return self._index.stats
-
-    def extra_metrics(self) -> dict:
-        return {
-            "height": self._index.height,
-            "n_models": self._index.n_models,
-            "error_bounds": self._index.error_bounds(),
-        }
-
-    @property
-    def wrapped(self) -> RSMI:
-        return self._index
-
-
-class RSMIExactAdapter(RSMIAdapter):
-    """RSMIa: the same RSMI structure answering window/kNN queries exactly via MBRs."""
-
-    name = "RSMIa"
-    prefers_exact_queries = True
-    supports_exact_results = True
-
-    def window_query(self, window: Rect) -> np.ndarray:
-        return self._index.window_query_exact(window).points
-
-    def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
-        return self._index.knn_query_exact(x, y, k).points
 
 
 def build_index_suite(
@@ -207,44 +30,39 @@ def build_index_suite(
     partition_threshold: int = 10_000,
     training: Optional[TrainingConfig] = None,
     seed: int = 0,
-) -> dict[str, IndexAdapter]:
-    """Build the requested indices over ``points`` and return name -> adapter.
+) -> dict[str, SpatialIndex]:
+    """Build the requested indices over ``points`` and return name -> index.
 
-    ``RSMI`` and ``RSMIa`` share a single built RSMI instance (they differ only
-    in the query algorithm), matching the paper's setup.
+    ``RSMI`` and ``RSMIa`` share a single built RSMI (``RSMIa`` is its
+    :meth:`~repro.core.rsmi.RSMI.exact_view`; they differ only in the query
+    algorithm), matching the paper's setup.
     """
     training = training if training is not None else TrainingConfig()
-    adapters: dict[str, IndexAdapter] = {}
-    rsmi_instance: Optional[RSMI] = None
-
-    def get_rsmi() -> RSMI:
-        nonlocal rsmi_instance
-        if rsmi_instance is None:
-            config = RSMIConfig(
-                block_capacity=block_capacity,
-                partition_threshold=partition_threshold,
-                training=training,
-                seed=seed,
-            )
-            rsmi_instance = RSMI(config).build(points)
-        return rsmi_instance
+    indices: dict[str, SpatialIndex] = {}
+    rsmi: Optional[RSMI] = None
 
     for name in index_names:
-        if name == "RSMI":
-            adapters[name] = RSMIAdapter(get_rsmi())
-        elif name == "RSMIa":
-            adapters[name] = RSMIExactAdapter(get_rsmi())
+        if name in ("RSMI", "RSMIa"):
+            if rsmi is None:
+                config = RSMIConfig(
+                    block_capacity=block_capacity,
+                    partition_threshold=partition_threshold,
+                    training=training,
+                    seed=seed,
+                )
+                rsmi = RSMI(config).build(points)
+            indices[name] = rsmi if name == "RSMI" else rsmi.exact_view()
         elif name == "ZM":
             config = ZMConfig(block_capacity=block_capacity, training=training, seed=seed)
-            adapters[name] = BaselineAdapter(ZMIndex(config).build(points))
+            indices[name] = ZMIndex(config).build(points)
         elif name == "Grid":
-            adapters[name] = BaselineAdapter(GridFile(block_capacity=block_capacity).build(points))
+            indices[name] = GridFile(block_capacity=block_capacity).build(points)
         elif name == "KDB":
-            adapters[name] = BaselineAdapter(KDBTree(block_capacity=block_capacity).build(points))
+            indices[name] = KDBTree(block_capacity=block_capacity).build(points)
         elif name == "HRR":
-            adapters[name] = BaselineAdapter(HRRTree(block_capacity=block_capacity).build(points))
+            indices[name] = HRRTree(block_capacity=block_capacity).build(points)
         elif name == "RR*":
-            adapters[name] = BaselineAdapter(RStarTree(block_capacity=block_capacity).build(points))
+            indices[name] = RStarTree(block_capacity=block_capacity).build(points)
         else:
             raise ValueError(f"unknown index name: {name!r}; available: {INDEX_NAMES}")
-    return adapters
+    return indices

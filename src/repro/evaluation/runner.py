@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.analytics.ops import QueryRequest
+from repro.baselines.interface import SpatialIndex
 from repro.engine import BatchQueryEngine
-from repro.evaluation.adapters import IndexAdapter, build_index_suite
+from repro.evaluation.adapters import build_index_suite
 from repro.evaluation.metrics import knn_recall, window_recall
 from repro.geometry import Rect
 from repro.nn import TrainingConfig
@@ -40,10 +41,10 @@ __all__ = [
 EXECUTION_MODES = ("sequential", "batched")
 
 
-def engine_for_execution(adapter: IndexAdapter, execution: str) -> BatchQueryEngine:
+def engine_for_execution(index: SpatialIndex, execution: str) -> BatchQueryEngine:
     """A :class:`BatchQueryEngine` implementing a non-sequential execution mode."""
     if execution == "batched":
-        return BatchQueryEngine(adapter, mode="auto")
+        return BatchQueryEngine(index, mode="auto")
     raise ValueError(f"unknown execution mode {execution!r}; available: {EXECUTION_MODES}")
 
 
@@ -104,50 +105,55 @@ class QueryMetrics:
 
 def build_suite_with_reports(
     points: np.ndarray, config: SuiteConfig
-) -> tuple[dict[str, IndexAdapter], dict[str, BuildReport]]:
+) -> tuple[dict[str, SpatialIndex], dict[str, BuildReport]]:
     """Build every configured index, timing construction and recording size.
 
-    ``RSMIa`` shares the RSMI build; its build report reuses the RSMI numbers
-    (the paper treats them as one structure with two query modes).
+    ``RSMI`` and ``RSMIa`` share one trained RSMI; both build reports carry
+    its numbers (the paper treats them as one structure with two query modes).
     """
-    adapters: dict[str, IndexAdapter] = {}
+    indices: dict[str, SpatialIndex] = {}
     reports: dict[str, BuildReport] = {}
     training = config.training_config()
+    rsmi = None
+    rsmi_build_s = 0.0
 
     for name in config.index_names:
         start = time.perf_counter()
-        built = build_index_suite(
-            points,
-            index_names=[name],
-            block_capacity=config.block_capacity,
-            partition_threshold=config.partition_threshold,
-            training=training,
-            seed=config.seed,
-        )
-        elapsed = time.perf_counter() - start
-        adapter = built[name]
-        if name == "RSMIa" and "RSMI" in adapters:
-            # reuse the already-built RSMI structure instead of re-training
-            adapter = type(adapter)(adapters["RSMI"].wrapped)  # type: ignore[attr-defined]
-            elapsed = reports["RSMI"].build_time_s
-        adapters[name] = adapter
+        built = "RSMI" if name == "RSMIa" else name  # RSMIa views the RSMI build
+        if built == "RSMI" and rsmi is not None:
+            index, elapsed = rsmi, rsmi_build_s
+        else:
+            index = build_index_suite(
+                points,
+                index_names=[built],
+                block_capacity=config.block_capacity,
+                partition_threshold=config.partition_threshold,
+                training=training,
+                seed=config.seed,
+            )[built]
+            elapsed = time.perf_counter() - start
+            if built == "RSMI":
+                rsmi, rsmi_build_s = index, elapsed
+        if name == "RSMIa":
+            index = index.exact_view()
+        indices[name] = index
         reports[name] = BuildReport(
             name=name,
             build_time_s=elapsed,
-            size_bytes=adapter.size_bytes(),
-            extras=adapter.extra_metrics(),
+            size_bytes=index.size_bytes(),
+            extras=index.extra_metrics(),
         )
-    return adapters, reports
+    return indices, reports
 
 
 def measure_point_queries(
-    adapter: IndexAdapter, queries: np.ndarray, execution: str = "sequential"
+    index: SpatialIndex, queries: np.ndarray, execution: str = "sequential"
 ) -> QueryMetrics:
     """Average response time and block accesses of exact-match point queries."""
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
     n = max(queries.shape[0], 1)
     if execution != "sequential":
-        engine = engine_for_execution(adapter, execution)
+        engine = engine_for_execution(index, execution)
         start = time.perf_counter()
         result = engine.execute(QueryRequest.for_points(queries))
         elapsed = time.perf_counter() - start
@@ -156,20 +162,20 @@ def measure_point_queries(
             avg_block_accesses=(result.access.logical_reads or 0) / n,
             n_queries=queries.shape[0],
         )
-    adapter.stats.reset()
+    index.stats.reset()
     start = time.perf_counter()
     for x, y in queries:
-        adapter.point_query(float(x), float(y))
+        index.contains(float(x), float(y))
     elapsed = time.perf_counter() - start
     return QueryMetrics(
         avg_time_ms=elapsed / n * 1000.0,
-        avg_block_accesses=adapter.stats.total_reads / n,
+        avg_block_accesses=index.stats.total_reads / n,
         n_queries=queries.shape[0],
     )
 
 
 def measure_window_queries(
-    adapter: IndexAdapter,
+    index: SpatialIndex,
     windows: Sequence[Rect],
     data_points: np.ndarray,
     execution: str = "sequential",
@@ -177,7 +183,7 @@ def measure_window_queries(
     """Average time, block accesses and recall of window queries."""
     n = max(len(windows), 1)
     if execution != "sequential":
-        engine = engine_for_execution(adapter, execution)
+        engine = engine_for_execution(index, execution)
         start = time.perf_counter()
         result = engine.execute(QueryRequest.for_windows(windows))
         elapsed = time.perf_counter() - start
@@ -191,25 +197,25 @@ def measure_window_queries(
             recall=float(np.mean(recalls)) if recalls else None,
             n_queries=len(windows),
         )
-    adapter.stats.reset()
+    index.stats.reset()
     recalls = []
     elapsed = 0.0
     for window in windows:
         start = time.perf_counter()
-        reported = adapter.window_query(window)
+        reported = index.window_query(window)
         elapsed += time.perf_counter() - start
         truth = brute_force_window(data_points, window)
         recalls.append(window_recall(reported, truth))
     return QueryMetrics(
         avg_time_ms=elapsed / n * 1000.0,
-        avg_block_accesses=adapter.stats.total_reads / n,
+        avg_block_accesses=index.stats.total_reads / n,
         recall=float(np.mean(recalls)) if recalls else None,
         n_queries=len(windows),
     )
 
 
 def measure_knn_queries(
-    adapter: IndexAdapter,
+    index: SpatialIndex,
     queries: np.ndarray,
     k: int,
     data_points: np.ndarray,
@@ -219,7 +225,7 @@ def measure_knn_queries(
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
     if execution != "sequential":
         n = max(queries.shape[0], 1)
-        engine = engine_for_execution(adapter, execution)
+        engine = engine_for_execution(index, execution)
         start = time.perf_counter()
         result = engine.execute(QueryRequest.for_knn(queries, k))
         elapsed = time.perf_counter() - start
@@ -233,51 +239,51 @@ def measure_knn_queries(
             recall=float(np.mean(recalls)) if recalls else None,
             n_queries=queries.shape[0],
         )
-    adapter.stats.reset()
+    index.stats.reset()
     recalls: list[float] = []
     elapsed = 0.0
     for x, y in queries:
         start = time.perf_counter()
-        reported = adapter.knn_query(float(x), float(y), k)
+        reported = index.knn_query(float(x), float(y), k)
         elapsed += time.perf_counter() - start
         truth = brute_force_knn(data_points, float(x), float(y), k)
         recalls.append(knn_recall(reported, truth))
     n = max(queries.shape[0], 1)
     return QueryMetrics(
         avg_time_ms=elapsed / n * 1000.0,
-        avg_block_accesses=adapter.stats.total_reads / n,
+        avg_block_accesses=index.stats.total_reads / n,
         recall=float(np.mean(recalls)) if recalls else None,
         n_queries=queries.shape[0],
     )
 
 
-def measure_insertions(adapter: IndexAdapter, new_points: np.ndarray) -> QueryMetrics:
+def measure_insertions(index: SpatialIndex, new_points: np.ndarray) -> QueryMetrics:
     """Average per-insertion time over ``new_points`` (Figure 17a)."""
     new_points = np.asarray(new_points, dtype=float).reshape(-1, 2)
-    adapter.stats.reset()
+    index.stats.reset()
     start = time.perf_counter()
     for x, y in new_points:
-        adapter.insert(float(x), float(y))
+        index.insert(float(x), float(y))
     elapsed = time.perf_counter() - start
     n = max(new_points.shape[0], 1)
     return QueryMetrics(
         avg_time_ms=elapsed / n * 1000.0,
-        avg_block_accesses=adapter.stats.total_reads / n,
+        avg_block_accesses=index.stats.total_reads / n,
         n_queries=new_points.shape[0],
     )
 
 
-def measure_deletions(adapter: IndexAdapter, points: np.ndarray) -> QueryMetrics:
+def measure_deletions(index: SpatialIndex, points: np.ndarray) -> QueryMetrics:
     """Average per-deletion time over ``points``."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    adapter.stats.reset()
+    index.stats.reset()
     start = time.perf_counter()
     for x, y in points:
-        adapter.delete(float(x), float(y))
+        index.delete(float(x), float(y))
     elapsed = time.perf_counter() - start
     n = max(points.shape[0], 1)
     return QueryMetrics(
         avg_time_ms=elapsed / n * 1000.0,
-        avg_block_accesses=adapter.stats.total_reads / n,
+        avg_block_accesses=index.stats.total_reads / n,
         n_queries=points.shape[0],
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 
 from repro.core import RSMI, RSMIConfig
-from repro.evaluation.adapters import RSMIAdapter
 from repro.evaluation.runner import measure_point_queries, measure_window_queries
 from repro.experiments.base import ExperimentResult, register_experiment
 from repro.experiments.profiles import ScaleProfile
@@ -58,10 +57,9 @@ def run(profile: ScaleProfile) -> ExperimentResult:
         start = time.perf_counter()
         index = RSMI(config).build(points)
         build_time = time.perf_counter() - start
-        adapter = RSMIAdapter(index)
         execution = execution_mode(profile)
-        point_metrics = measure_point_queries(adapter, point_queries, execution=execution)
-        window_metrics = measure_window_queries(adapter, windows, points, execution=execution)
+        point_metrics = measure_point_queries(index, point_queries, execution=execution)
+        window_metrics = measure_window_queries(index, windows, points, execution=execution)
         err_below, err_above = index.error_bounds()
         rows.append(
             [

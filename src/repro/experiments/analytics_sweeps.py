@@ -63,21 +63,10 @@ ANALYTICS_INDEX_NAMES = ("Grid", "KDB", "RSMI", "RSMIa", "ZM")
 REBUILD_POLICY_NAMES = ("never", "periodic", "chain-depth")
 
 
-def _innermost(index):
-    seen = set()
-    while id(index) not in seen:
-        seen.add(id(index))
-        inner = getattr(index, "wrapped", None) or getattr(index, "_index", None)
-        if inner is None or inner is index:
-            break
-        index = inner
-    return index
-
-
 def _brute_force_reads(index, n_points: int, block_capacity: int) -> int:
     """Blocks a client-side aggregation would scan: the whole store."""
-    store = getattr(_innermost(index), "store", None)
-    if store is not None and hasattr(store, "n_blocks"):
+    store = getattr(index, "store", None)
+    if store is not None:
         return int(store.n_blocks)
     return max(1, math.ceil(n_points / max(block_capacity, 1)))
 
@@ -198,12 +187,11 @@ def run_analytics_sweep(
                 training=TrainingConfig(epochs=profile.training_epochs, seed=profile.seed),
                 seed=profile.seed,
             )
-            adapter = suite[name]
+            index = suite[name]
             if cache_blocks > 0:
-                adapter.attach_cache(PageCache(cache_blocks))
-            engine = BatchQueryEngine(adapter)
-            exact = bool(adapter.supports_exact_results)
-            index = adapter
+                index.attach_cache(PageCache(cache_blocks))
+            engine = BatchQueryEngine(index)
+            exact = index.supports_exact_results
 
         brute = _brute_force_reads(index, points.shape[0], profile.block_capacity)
         for op in ops:
@@ -284,8 +272,6 @@ def _window_recall(index, oracle: OracleIndex, *, area: float, n_windows: int,
         ).clip_to(Rect.unit())
         truth = oracle.window_query(window)
         got = index.window_query(window)
-        got = np.asarray(got.points if hasattr(got, "points") else got,
-                         dtype=float).reshape(-1, 2)
         if truth.shape[0] == 0:
             continue
         want = {(float(x), float(y)) for x, y in truth}

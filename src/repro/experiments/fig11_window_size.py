@@ -18,8 +18,8 @@ def run(profile: ScaleProfile) -> ExperimentResult:
     rows: list[list] = []
     for n_points in profile.size_sweep:
         points = make_points(profile, n_points=n_points)
-        adapters, _ = make_suite(points, profile)
-        metrics = run_window_workload(adapters, points, profile)
+        indices, _ = make_suite(points, profile)
+        metrics = run_window_workload(indices, points, profile)
         for name in profile.index_names:
             rows.append(
                 [

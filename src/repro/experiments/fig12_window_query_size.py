@@ -21,10 +21,10 @@ HEADER = ["window_area_fraction", "index", "query_time_ms", "block_accesses", "r
 )
 def run(profile: ScaleProfile) -> ExperimentResult:
     points = make_points(profile)
-    adapters, _ = make_suite(points, profile)
+    indices, _ = make_suite(points, profile)
     rows: list[list] = []
     for area_fraction in profile.window_area_fractions:
-        metrics = run_window_workload(adapters, points, profile, area_fraction=area_fraction)
+        metrics = run_window_workload(indices, points, profile, area_fraction=area_fraction)
         for name in profile.index_names:
             rows.append(
                 [

@@ -21,10 +21,10 @@ HEADER = ["aspect_ratio", "index", "query_time_ms", "block_accesses", "recall"]
 )
 def run(profile: ScaleProfile) -> ExperimentResult:
     points = make_points(profile)
-    adapters, _ = make_suite(points, profile)
+    indices, _ = make_suite(points, profile)
     rows: list[list] = []
     for aspect_ratio in profile.aspect_ratios:
-        metrics = run_window_workload(adapters, points, profile, aspect_ratio=aspect_ratio)
+        metrics = run_window_workload(indices, points, profile, aspect_ratio=aspect_ratio)
         for name in profile.index_names:
             rows.append(
                 [

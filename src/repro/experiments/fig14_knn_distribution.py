@@ -24,8 +24,8 @@ def run(profile: ScaleProfile) -> ExperimentResult:
     rows: list[list] = []
     for distribution in profile.distributions:
         points = make_points(profile, distribution=distribution)
-        adapters, _ = make_suite(points, profile, distribution=distribution)
-        metrics = run_knn_workload(adapters, points, profile)
+        indices, _ = make_suite(points, profile, distribution=distribution)
+        metrics = run_knn_workload(indices, points, profile)
         for name in profile.index_names:
             rows.append(
                 [

@@ -16,10 +16,10 @@ HEADER = ["k", "index", "query_time_ms", "block_accesses", "recall"]
 )
 def run(profile: ScaleProfile) -> ExperimentResult:
     points = make_points(profile)
-    adapters, _ = make_suite(points, profile)
+    indices, _ = make_suite(points, profile)
     rows: list[list] = []
     for k in profile.k_values:
-        metrics = run_knn_workload(adapters, points, profile, k=k)
+        metrics = run_knn_workload(indices, points, profile, k=k)
         for name in profile.index_names:
             rows.append(
                 [

@@ -29,8 +29,8 @@ def run(profile: ScaleProfile) -> ExperimentResult:
     rows: list[list] = []
     for distribution in profile.distributions:
         points = make_points(profile, distribution=distribution)
-        adapters, _ = make_suite(points, profile, distribution=distribution, index_names=index_names)
-        metrics = run_point_workload(adapters, points, profile)
+        indices, _ = make_suite(points, profile, distribution=distribution, index_names=index_names)
+        metrics = run_point_workload(indices, points, profile)
         for name in index_names:
             rows.append(
                 [

@@ -25,8 +25,8 @@ def run(profile: ScaleProfile) -> ExperimentResult:
     rows: list[list] = []
     for n_points in profile.size_sweep:
         points = make_points(profile, n_points=n_points)
-        adapters, _ = make_suite(points, profile, index_names=index_names)
-        metrics = run_point_workload(adapters, points, profile)
+        indices, _ = make_suite(points, profile, index_names=index_names)
+        metrics = run_point_workload(indices, points, profile)
         for name in index_names:
             rows.append(
                 [n_points, name, metrics[name].avg_time_us, metrics[name].avg_block_accesses]

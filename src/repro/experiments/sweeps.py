@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.baselines.interface import SpatialIndex
 from repro.datasets import dataset_by_name
-from repro.evaluation.adapters import IndexAdapter
 from repro.evaluation.runner import (
     BuildReport,
     QueryMetrics,
@@ -99,7 +99,7 @@ def make_suite(
     distribution: Optional[str] = None,
     partition_threshold: Optional[int] = None,
     index_names: Optional[Sequence[str]] = None,
-) -> tuple[dict[str, IndexAdapter], dict[str, BuildReport]]:
+) -> tuple[dict[str, SpatialIndex], dict[str, BuildReport]]:
     """Build the configured index suite over ``points``."""
     config = suite_config(
         profile,
@@ -112,7 +112,7 @@ def make_suite(
 
 
 def run_point_workload(
-    adapters: dict[str, IndexAdapter],
+    indices: dict[str, SpatialIndex],
     points: np.ndarray,
     profile: ScaleProfile,
     execution: Optional[str] = None,
@@ -121,13 +121,13 @@ def run_point_workload(
     queries = generate_point_queries(points, profile.n_point_queries, seed=profile.seed + 11)
     mode = execution_mode(profile, execution)
     return {
-        name: measure_point_queries(adapter, queries, execution=mode)
-        for name, adapter in adapters.items()
+        name: measure_point_queries(index, queries, execution=mode)
+        for name, index in indices.items()
     }
 
 
 def run_window_workload(
-    adapters: dict[str, IndexAdapter],
+    indices: dict[str, SpatialIndex],
     points: np.ndarray,
     profile: ScaleProfile,
     area_fraction: Optional[float] = None,
@@ -145,13 +145,13 @@ def run_window_workload(
     )
     mode = execution_mode(profile, execution)
     return {
-        name: measure_window_queries(adapter, windows, points, execution=mode)
-        for name, adapter in adapters.items()
+        name: measure_window_queries(index, windows, points, execution=mode)
+        for name, index in indices.items()
     }
 
 
 def run_knn_workload(
-    adapters: dict[str, IndexAdapter],
+    indices: dict[str, SpatialIndex],
     points: np.ndarray,
     profile: ScaleProfile,
     k: Optional[int] = None,
@@ -162,6 +162,6 @@ def run_knn_workload(
     queries = generate_knn_queries(points, profile.n_knn_queries, seed=profile.seed + 37)
     mode = execution_mode(profile, execution)
     return {
-        name: measure_knn_queries(adapter, queries, k, points, execution=mode)
-        for name, adapter in adapters.items()
+        name: measure_knn_queries(index, queries, k, points, execution=mode)
+        for name, index in indices.items()
     }

@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 
 from repro.core import RSMI, RSMIConfig
-from repro.evaluation.adapters import RSMIAdapter
 from repro.evaluation.runner import measure_point_queries
 from repro.experiments.base import ExperimentResult, register_experiment
 from repro.experiments.profiles import ScaleProfile
@@ -51,8 +50,7 @@ def run(profile: ScaleProfile) -> ExperimentResult:
         index = RSMI(config).build(points)
         build_time = time.perf_counter() - start
 
-        adapter = RSMIAdapter(index)
-        metrics = measure_point_queries(adapter, queries, execution=execution_mode(profile))
+        metrics = measure_point_queries(index, queries, execution=execution_mode(profile))
         rows.append(
             [
                 threshold,

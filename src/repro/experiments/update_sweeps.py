@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines.interface import SpatialIndex
 from repro.core import PeriodicRebuilder, RSMI, RSMIConfig
 from repro.datasets import dataset_by_name
-from repro.evaluation.adapters import IndexAdapter, RSMIAdapter
 from repro.evaluation.runner import (
     QueryMetrics,
     measure_insertions,
@@ -42,28 +42,15 @@ class UpdateSweepStep:
     query: QueryMetrics
 
 
-class _RebuildingAdapter(RSMIAdapter):
-    """Adapter for the RSMIr variant: inserts through a PeriodicRebuilder."""
-
-    name = "RSMIr"
-
-    def __init__(self, rebuilder: PeriodicRebuilder):
-        super().__init__(rebuilder.index)
-        self._rebuilder = rebuilder
-
-    def insert(self, x: float, y: float) -> None:
-        self._rebuilder.insert(x, y)
-
-
-def _make_rsmir(points: np.ndarray, profile: ScaleProfile) -> _RebuildingAdapter:
+def _make_rsmir(points: np.ndarray, profile: ScaleProfile) -> PeriodicRebuilder:
+    """The RSMIr variant: an RSMI whose inserts go through a PeriodicRebuilder."""
     config = RSMIConfig(
         block_capacity=profile.block_capacity,
         partition_threshold=profile.partition_threshold,
         training=TrainingConfig(epochs=profile.training_epochs, seed=profile.seed),
         seed=profile.seed,
     )
-    index = RSMI(config).build(points)
-    return _RebuildingAdapter(PeriodicRebuilder(index, rebuild_fraction=0.10))
+    return PeriodicRebuilder(RSMI(config).build(points), rebuild_fraction=0.10)
 
 
 def run_update_sweep(
@@ -85,10 +72,12 @@ def run_update_sweep(
         profile.default_distribution, int(np.ceil(max_fraction * n)), seed=profile.seed + 99
     )
 
-    adapters, _ = make_suite(points, profile)
+    indices, _ = make_suite(points, profile)
+    # what each index's batches are inserted through (RSMIr: its rebuilder)
+    writers: dict = dict(indices)
     if include_rsmir:
-        adapters = dict(adapters)
-        adapters["RSMIr"] = _make_rsmir(points, profile)
+        writers["RSMIr"] = _make_rsmir(points, profile)
+        indices = {**indices, "RSMIr": writers["RSMIr"].index}
 
     steps: list[UpdateSweepStep] = []
     inserted_so_far = 0
@@ -99,12 +88,12 @@ def run_update_sweep(
         inserted_so_far = target
         current_points = np.vstack([current_points, batch]) if batch.shape[0] else current_points
 
-        # RSMI and RSMIa are two query modes over one shared structure; insert
-        # each batch only once per underlying index so the structure does not
-        # receive duplicate points.
+        # RSMI and RSMIa are two query modes over one shared structure (one
+        # attribute dict); insert each batch only once per structure so it
+        # does not receive duplicate points.
         inserted_structures: dict[int, QueryMetrics] = {}
-        for name, adapter in adapters.items():
-            structure_id = id(getattr(adapter, "wrapped", adapter))
+        for name, index in indices.items():
+            structure_id = id(vars(index))
             if batch.shape[0] == 0:
                 insertion_metrics = QueryMetrics(
                     avg_time_ms=0.0, avg_block_accesses=0.0, n_queries=0
@@ -112,10 +101,10 @@ def run_update_sweep(
             elif structure_id in inserted_structures:
                 insertion_metrics = inserted_structures[structure_id]
             else:
-                insertion_metrics = measure_insertions(adapter, batch)
+                insertion_metrics = measure_insertions(writers[name], batch)
                 inserted_structures[structure_id] = insertion_metrics
             query_metrics = _measure_queries(
-                adapter, query_kind, current_points, profile
+                index, query_kind, current_points, profile
             )
             steps.append(
                 UpdateSweepStep(
@@ -129,7 +118,7 @@ def run_update_sweep(
 
 
 def _measure_queries(
-    adapter: IndexAdapter,
+    index: SpatialIndex,
     query_kind: str,
     current_points: np.ndarray,
     profile: ScaleProfile,
@@ -139,7 +128,7 @@ def _measure_queries(
         queries = generate_point_queries(
             current_points, profile.n_point_queries, seed=profile.seed + 11
         )
-        return measure_point_queries(adapter, queries, execution=execution)
+        return measure_point_queries(index, queries, execution=execution)
     if query_kind == "window":
         windows = generate_window_queries(
             current_points,
@@ -147,6 +136,6 @@ def _measure_queries(
             area_fraction=profile.default_window_area,
             seed=profile.seed + 23,
         )
-        return measure_window_queries(adapter, windows, current_points, execution=execution)
+        return measure_window_queries(index, windows, current_points, execution=execution)
     queries = generate_knn_queries(current_points, profile.n_knn_queries, seed=profile.seed + 37)
-    return measure_knn_queries(adapter, queries, profile.default_k, current_points, execution=execution)
+    return measure_knn_queries(index, queries, profile.default_k, current_points, execution=execution)

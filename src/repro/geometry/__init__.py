@@ -11,12 +11,13 @@ the paper).  This package provides:
 * small vectorised utilities for containment tests over NumPy point arrays.
 """
 
-from repro.geometry.rect import Rect, mbr_of_points, union_rects
+from repro.geometry.rect import Rect, mbr_of_points, require_finite_point, union_rects
 from repro.geometry.distance import euclidean, euclidean_many, mindist_point_rect
 
 __all__ = [
     "Rect",
     "mbr_of_points",
+    "require_finite_point",
     "union_rects",
     "euclidean",
     "euclidean_many",

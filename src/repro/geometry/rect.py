@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Rect", "mbr_of_points", "union_rects"]
+__all__ = ["Rect", "mbr_of_points", "require_finite_point", "union_rects"]
 
 
 @dataclass(frozen=True)
@@ -165,3 +166,14 @@ def union_rects(rects: Iterable[Rect] | Sequence[Rect]) -> Rect:
     for rect in rects[1:]:
         result = result.union(rect)
     return result
+
+
+def require_finite_point(x: float, y: float) -> None:
+    """Raise ``ValueError`` naming ``(x, y)`` unless both coordinates are finite.
+
+    The write-input contract: every index's ``insert``/``delete`` (and the
+    sharded and durable wrappers, before they route or log) rejects NaN and
+    infinite coordinates here, so a bad point never reaches a block or a WAL.
+    """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point coordinates must be finite, got ({x}, {y})")

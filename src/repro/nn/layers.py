@@ -70,6 +70,12 @@ class DenseLayer:
         self.grad_bias = grad_pre.mean(axis=0)
         return grad_pre @ self.weights.T
 
+    def clear_activations(self) -> None:
+        """Drop the batch caches ``forward`` kept for ``backward``."""
+        self._last_input = None
+        self._last_pre_activation = None
+        self._last_output = None
+
     # -- parameter access ------------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:

@@ -131,6 +131,12 @@ class MLPRegressor:
         for layer in reversed(self.layers):
             current = layer.backward(current)
 
+    def clear_activations(self) -> None:
+        """Drop every layer's last training batch (called when training ends,
+        so a trained model carries — and pickles — only its parameters)."""
+        for layer in self.layers:
+            layer.clear_activations()
+
     # -- parameter plumbing -------------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:

@@ -127,6 +127,7 @@ def train_regressor(
                 stopped_early = True
                 break
 
+    model.clear_activations()
     return TrainingResult(
         epochs_run=len(history),
         final_loss=history[-1],

@@ -94,7 +94,7 @@ class ParallelShardEngine:
         self.mode = mode
         self.name = spec.name
         #: capability flags, mirroring the sharded index the workers rebuild
-        self.supports_exact_results = bool(spec.exact_queries)
+        self.supports_exact_results = spec.supports_exact_results
         self.supports_attributes = True
         # the parent routes with its own router over a private policy copy;
         # replaying the spec's assignment reproduces the overflow extents a
@@ -157,7 +157,7 @@ class ParallelShardEngine:
         """Build straight from a point set (spec construction included)."""
         spec_kwargs = {
             key: kwargs.pop(key)
-            for key in ("exact_queries", "cache_blocks", "cache_policy", "name")
+            for key in ("cache_blocks", "cache_policy", "name")
             if key in kwargs
         }
         spec = ServingSpec.from_points(

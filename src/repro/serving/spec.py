@@ -48,7 +48,7 @@ class ServingSpec:
     shard_points:
         ``shard_id -> (n, 2) array`` of each shard's points, in the build
         order of the index being mirrored.
-    exact_queries / cache_blocks / cache_policy / name:
+    cache_blocks / cache_policy / name:
         Forwarded to every rebuilt :class:`ShardedSpatialIndex`.
     """
 
@@ -58,7 +58,6 @@ class ServingSpec:
         policy: ShardingPolicy,
         shard_points: dict,
         *,
-        exact_queries: Optional[bool] = None,
         cache_blocks: Optional[int] = None,
         cache_policy: str = "lru",
         name: Optional[str] = None,
@@ -72,9 +71,8 @@ class ServingSpec:
             for shard_id, points in shard_points.items()
         }
         kind = getattr(factory, "kind", None)
-        if exact_queries is None:
-            exact_queries = kind in EXACT_KINDS
-        self.exact_queries = bool(exact_queries)
+        #: capability flag of the kind every rebuilt shard wraps
+        self.supports_exact_results = kind in EXACT_KINDS
         self.cache_blocks = cache_blocks
         self.cache_policy = cache_policy
         self.name = name or f"Serving[{kind or 'index'}x{policy.n_shards}:{policy.name}]"
@@ -117,7 +115,6 @@ class ServingSpec:
             shard_id: index.live_shard_points(shard_id)
             for shard_id in range(index.n_shards)
         }
-        kwargs.setdefault("exact_queries", index.exact_queries)
         kwargs.setdefault("cache_blocks", index.cache_blocks)
         kwargs.setdefault("cache_policy", index.cache_policy)
         kwargs.setdefault("name", index.name)
@@ -144,7 +141,6 @@ class ServingSpec:
             self.factory,
             self.policy,
             {s: p for s, p in self.shard_points.items() if s in keep},
-            exact_queries=self.exact_queries,
             cache_blocks=self.cache_blocks,
             cache_policy=self.cache_policy,
             name=self.name,
@@ -160,7 +156,6 @@ class ServingSpec:
         index = ShardedSpatialIndex(
             self.factory,
             policy=pickle.loads(pickle.dumps(self.policy)),
-            exact_queries=self.exact_queries,
             name=self.name,
             cache_blocks=self.cache_blocks,
             cache_policy=self.cache_policy,

@@ -20,7 +20,7 @@ Answers are byte-identical to the single-threaded engine because the shard
 structures are byte-identical (see :meth:`ShardedSpatialIndex
 .build_assigned`) and each sub-batch goes through the very same
 :meth:`~repro.sharding.ShardedBatchEngine.run_shard` step
-(``prefetch_windows`` warming and the exact-RSMI adapter included).
+(``prefetch_windows`` warming included).
 """
 
 from __future__ import annotations

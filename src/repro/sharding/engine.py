@@ -256,15 +256,7 @@ class ShardedBatchEngine:
         cached = self._engines.get(shard_id)
         if cached is not None and cached[0] == id(shard.index):
             return cached[1]
-        target = shard.index
-        if shard.exact and hasattr(target, "window_query_exact"):
-            # exact-RSMI shards answer windows via the MBR traversal; the
-            # adapter's prefers_exact_queries flag keeps the per-shard engine
-            # off the approximate vectorised window path
-            from repro.evaluation.adapters import RSMIExactAdapter
-
-            target = RSMIExactAdapter(target)
-        engine = BatchQueryEngine(target, mode=self.mode, reorder=self.reorder)
+        engine = BatchQueryEngine(shard.index, mode=self.mode, reorder=self.reorder)
         self._engines[shard_id] = (id(shard.index), engine)
         return engine
 

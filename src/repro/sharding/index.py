@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.geometry import Rect
+from repro.geometry import Rect, require_finite_point
 from repro.sharding.policy import ShardingPolicy, make_policy
 from repro.sharding.rebalance import AdaptiveShardingPolicy, RebalanceError
 from repro.sharding.router import ShardRouter
@@ -52,10 +52,11 @@ __all__ = [
 _EMPTY = np.empty((0, 2), dtype=float)
 
 #: wrapped index kinds :func:`shard_index_factory` can build; ``RSMIa`` is
-#: the exact-query RSMI variant (window/kNN via MBR traversal)
+#: the exact-query RSMI kind (window/kNN via MBR traversal)
 SHARDABLE_KINDS = ("RSMI", "RSMIa", "Grid", "KDB", "HRR", "RR*", "ZM")
 
-#: kinds whose window/kNN answers are exact (drives differential assertions)
+#: kinds whose window/kNN answers are exact: a sharded index over one of them
+#: declares ``supports_exact_results``
 EXACT_KINDS = frozenset({"Grid", "KDB", "HRR", "RR*", "RSMIa"})
 
 
@@ -78,7 +79,7 @@ class _ShardIndexFactory:
         self, points: np.ndarray, shard_id: int, stats: Optional[AccessStats] = None
     ) -> object:
         from repro.baselines import GridFile, HRRTree, KDBTree, RStarTree, ZMConfig, ZMIndex
-        from repro.core import RSMI, RSMIConfig
+        from repro.core import RSMI, RSMIa, RSMIConfig
 
         shard_seed = self.seed + 7919 * shard_id
         stats = stats if stats is not None else AccessStats()
@@ -89,7 +90,8 @@ class _ShardIndexFactory:
                 training=self.training,
                 seed=shard_seed,
             )
-            return RSMI(config, stats=stats).build(points)
+            kind = RSMI if self.kind == "RSMI" else RSMIa
+            return kind(config, stats=stats).build(points)
         if self.kind == "ZM":
             config = ZMConfig(
                 block_capacity=self.block_capacity, training=self.training, seed=shard_seed
@@ -218,13 +220,12 @@ class CompositeAccessStats:
 class _Shard:
     """One shard: a region's stats, cache, live-point count and lazily built index."""
 
-    __slots__ = ("shard_id", "stats", "index", "exact", "cache", "disk_path")
+    __slots__ = ("shard_id", "stats", "index", "cache", "disk_path")
 
-    def __init__(self, shard_id: int, exact: bool, cache: Optional[PageCache] = None):
+    def __init__(self, shard_id: int, cache: Optional[PageCache] = None):
         self.shard_id = shard_id
         self.stats = AccessStats()
         self.index: Optional[object] = None
-        self.exact = exact
         #: shard-local page cache; writes to this shard invalidate only here
         self.cache = cache
         #: where this shard's block-file mirror lives, when the durable tier
@@ -250,21 +251,12 @@ class _Shard:
     def window_query(self, window: Rect) -> np.ndarray:
         if self.is_empty:
             return _EMPTY.copy()
-        if self.exact and hasattr(self.index, "window_query_exact"):
-            answer = self.index.window_query_exact(window)
-        else:
-            answer = self.index.window_query(window)
-        return answer.points if hasattr(answer, "points") else answer
+        return self.index.window_query(window)
 
     def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
         if self.is_empty:
             return _EMPTY.copy()
-        k = min(k, self.n_points)
-        if self.exact and hasattr(self.index, "knn_query_exact"):
-            answer = self.index.knn_query_exact(x, y, k)
-        else:
-            answer = self.index.knn_query(x, y, k)
-        return answer.points if hasattr(answer, "points") else answer
+        return self.index.knn_query(x, y, min(k, self.n_points))
 
     def prefetch_windows(self, windows: Sequence[Rect]) -> int:
         """Warm the cache for an upcoming window sub-batch, when the wrapped
@@ -308,8 +300,8 @@ class _Shard:
         built shard attaches its mirror the moment its index first exists.
         """
         self.disk_path = path
-        store = getattr(self.index, "store", None) if self.index is not None else None
-        if store is None or not hasattr(store, "attach_disk"):
+        store = getattr(self.index, "store", None)
+        if store is None:
             return
         if path is None:
             disk = store.disk
@@ -347,10 +339,6 @@ class ShardedSpatialIndex:
         :class:`ShardingPolicy` instance.
     data_space:
         The space the policy partitions (default: the unit square).
-    exact_queries:
-        True when the wrapped kind answers window/kNN exactly (or, for
-        RSMI, to use the exact ``*_exact`` query variants — the RSMIa
-        configuration).  Merged sharded answers are then exact too.
     cache_blocks / cache_policy:
         When ``cache_blocks`` is positive, every shard gets its **own**
         :class:`~repro.storage.PageCache` of that capacity (policy
@@ -366,7 +354,6 @@ class ShardedSpatialIndex:
         n_shards: int = 4,
         policy: Union[str, ShardingPolicy] = "grid",
         data_space: Optional[Rect] = None,
-        exact_queries: Optional[bool] = None,
         name: Optional[str] = None,
         cache_blocks: Optional[int] = None,
         cache_policy: str = "lru",
@@ -377,13 +364,9 @@ class ShardedSpatialIndex:
         self.cache_blocks = cache_blocks
         self.cache_policy = cache_policy
         kind = getattr(factory, "kind", None)
-        if exact_queries is None:
-            exact_queries = kind in EXACT_KINDS
-        self.exact_queries = bool(exact_queries)
-        self.prefers_exact_queries = self.exact_queries
-        #: capability flag: exact per-shard queries make the sharded answers
-        #: agree exactly with a brute-force oracle
-        self.supports_exact_results = self.exact_queries
+        #: capability flag: exact per-shard kinds make the merged sharded
+        #: answers agree exactly with a brute-force oracle
+        self.supports_exact_results = kind in EXACT_KINDS
         self.supports_attributes = True
         self.data_space = data_space if data_space is not None else Rect.unit()
         if isinstance(policy, ShardingPolicy):
@@ -423,7 +406,7 @@ class ShardedSpatialIndex:
             )
         self.router = ShardRouter(self.policy)
         self.shards = [
-            _Shard(i, self.exact_queries, make_page_cache(self.cache_blocks, self.cache_policy))
+            _Shard(i, make_page_cache(self.cache_blocks, self.cache_policy))
             for i in range(self.n_shards)
         ]
         self.stats = CompositeAccessStats([shard.stats for shard in self.shards])
@@ -451,7 +434,7 @@ class ShardedSpatialIndex:
             raise ValueError("build_assigned requires a ShardingPolicy instance")
         self.router = ShardRouter(self.policy)
         self.shards = [
-            _Shard(i, self.exact_queries, make_page_cache(self.cache_blocks, self.cache_policy))
+            _Shard(i, make_page_cache(self.cache_blocks, self.cache_policy))
             for i in range(self.n_shards)
         ]
         self.stats = CompositeAccessStats([shard.stats for shard in self.shards])
@@ -543,10 +526,6 @@ class ShardedSpatialIndex:
             float(x), float(y)
         )
 
-    def point_query(self, x: float, y: float) -> bool:
-        """Adapter-style alias of :meth:`contains`."""
-        return self.contains(x, y)
-
     def window_query(self, window: Rect) -> np.ndarray:
         """All stored points inside ``window``; only intersecting shards are
         touched."""
@@ -591,6 +570,7 @@ class ShardedSpatialIndex:
         """Insert a point into the single shard owning it (building the
         shard's index on first use)."""
         self._require_built()
+        require_finite_point(x, y)
         x, y = float(x), float(y)
         shard_id = self.router.record_insert(x, y)
         self.shards[shard_id].insert(x, y, self.factory)
@@ -601,6 +581,7 @@ class ShardedSpatialIndex:
     def delete(self, x: float, y: float) -> bool:
         """Delete a stored point from the shard owning it."""
         self._require_built()
+        require_finite_point(x, y)
         x, y = float(x), float(y)
         shard_id = self.router.shard_for_point(x, y)
         deleted = self.shards[shard_id].delete(x, y)
@@ -659,7 +640,7 @@ class ShardedSpatialIndex:
         if shard.is_empty:
             return _EMPTY.copy()
         store = getattr(shard.index, "store", None)
-        if store is not None and hasattr(store, "all_points"):
+        if store is not None:
             points = np.asarray(store.all_points(), dtype=float).reshape(-1, 2)
         else:
             extent = self.router.shard_extent(shard_id)
@@ -678,7 +659,7 @@ class ShardedSpatialIndex:
     def build_replacement_shard(self, shard_id: int, points: np.ndarray) -> _Shard:
         """Build a detached shard over ``points`` (no cache/disk attached —
         the swap equips it once its id is final)."""
-        shard = _Shard(shard_id, self.exact_queries)
+        shard = _Shard(shard_id)
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if points.shape[0] > 0:
             shard.insert(

@@ -24,9 +24,10 @@ physical reads are actual I/O.  Tree baselines, whose nodes live behind the
 without a block mirror.
 
 Queries delegate transparently (``__getattr__``), and the wrapper exposes
-``wrapped`` so the batched engines and the scenario runner unwrap it the
-same way they unwrap the evaluation adapters — a durable index drops into
-the serving stack unchanged.
+``wrapped`` so the batched engines and the scenario runner serve reads from
+the index it wraps — a durable index drops into the serving stack
+unchanged.  Writes with non-finite coordinates are rejected before the WAL
+append, so recovery never replays a record the index would refuse.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.geometry import require_finite_point
 from repro.storage.block_file import BlockFile
 from repro.storage.wal import WriteAheadLog
 
@@ -150,13 +152,19 @@ class DurableIndex:
         return self._index
 
     def insert(self, x: float, y: float) -> None:
-        """WAL-append then apply one insertion (append-before-apply)."""
+        """WAL-append then apply one insertion (append-before-apply).
+
+        Non-finite coordinates raise ``ValueError`` before the append, so a
+        rejected write never becomes a record that recovery would replay.
+        """
+        require_finite_point(x, y)
         self._wal.append("insert", x, y)
         self._index.insert(x, y)
         self._after_write()
 
     def delete(self, x: float, y: float) -> bool:
         """WAL-append then apply one deletion; returns the index's outcome."""
+        require_finite_point(x, y)
         self._wal.append("delete", x, y)
         removed = bool(self._index.delete(x, y))
         self._after_write()
@@ -191,19 +199,15 @@ class DurableIndex:
 
     # -- disk tier -------------------------------------------------------------
 
-    def _storage_target(self) -> Any:
-        """The object carrying the block store: unwraps one adapter level."""
-        return getattr(self._index, "wrapped", self._index)
-
     def _attach_disk_backend(self) -> None:
         """Mirror the wrapped index's block store(s) into block files."""
-        target = self._storage_target()
+        target = self._index
         if hasattr(target, "attach_disk"):
             # sharded indices manage one block file per shard themselves
             target.attach_disk(self.directory)
             return
         store = getattr(target, "store", None)
-        if store is None or not hasattr(store, "attach_disk"):
+        if store is None:
             return  # tree baselines: NodePager nodes, checkpoint+WAL only
         blocks_path = self.directory / _BLOCKS_NAME
         if blocks_path.exists():
@@ -212,9 +216,9 @@ class DurableIndex:
         self._block_files = [store.disk]
 
     def _detach_disk_backend(self) -> None:
-        target = self._storage_target() if self._index is not None else None
+        target = self._index
         store = getattr(target, "store", None)
-        if store is not None and getattr(store, "disk", None) is not None:
+        if store is not None and store.disk is not None:
             disk = store.disk
             store.attach_disk(None)
             disk.close()

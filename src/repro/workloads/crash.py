@@ -66,15 +66,6 @@ class CrashOutcome:
         )
 
 
-def _point_query(index: Any, x: float, y: float) -> bool:
-    probe = getattr(index, "point_query", None)
-    if probe is not None:
-        result = probe(x, y)
-        # RSMI-style result objects carry a ``found`` flag and are always truthy
-        return bool(getattr(result, "found", result))
-    return bool(index.contains(x, y))
-
-
 def _as_point_set(points: np.ndarray) -> set[tuple[float, float]]:
     return {(float(p[0]), float(p[1])) for p in np.asarray(points).reshape(-1, 2)}
 
@@ -99,8 +90,8 @@ def run_crash_recovery(
     Parameters
     ----------
     index_factory:
-        ``factory(points) -> index`` building the index under test (an
-        adapter, a raw index or a sharded index — anything with the
+        ``factory(points) -> index`` building the index under test (any
+        index kind or a sharded index — anything with the
         insert/delete/query surface).
     spec:
         The scenario whose deterministic stream is replayed.
@@ -146,7 +137,7 @@ def run_crash_recovery(
             durable.delete(op.x, op.y)
             writes.append(op)
         elif op.kind == "point":
-            _point_query(durable, op.x, op.y)
+            durable.contains(op.x, op.y)
         elif op.kind == "window":
             durable.window_query(op.window)
         else:  # knn — reads run too, so a disk backend's read path is exercised
@@ -201,7 +192,7 @@ def run_crash_recovery(
                 f"recovery reported torn_tail={report.torn_tail}, expected {tore} "
                 f"[seed={spec.seed}]"
             )
-        target = getattr(recovered.wrapped, "wrapped", recovered.wrapped)
+        target = recovered.wrapped
         if int(target.n_points) != oracle.n_points:
             raise CrashRecoveryMismatch(
                 f"recovered index holds {target.n_points} points, oracle holds "
@@ -210,7 +201,7 @@ def run_crash_recovery(
         _verify_points(recovered, oracle, writes, initial_points, spec)
         _verify_windows(recovered, oracle, operations, exact, spec, n_probe_windows)
         store = getattr(target, "store", None)
-        if store is not None and hasattr(store, "all_points"):
+        if store is not None:
             stored = _as_point_set(store.all_points())
             expected = _as_point_set(oracle.points())
             if stored != expected:
@@ -249,7 +240,7 @@ def _verify_points(
     probes.extend((float(x), float(y)) for x, y in initial_points[::stride])
     for x, y in probes:
         expected = oracle.contains(x, y)
-        got = _point_query(recovered, x, y)
+        got = bool(recovered.contains(x, y))
         if got != expected:
             raise CrashRecoveryMismatch(
                 f"point ({x!r}, {y!r}): recovered says {got}, oracle says "
@@ -269,9 +260,7 @@ def _verify_windows(
     kinds, soundness (no phantoms) for the approximate learned ones."""
     windows = [op.window for op in operations if op.kind == "window"][:n_probe_windows]
     for window in windows:
-        answer = recovered.window_query(window)
-        answer = answer.points if hasattr(answer, "points") else answer
-        got = _as_point_set(answer)
+        got = _as_point_set(recovered.window_query(window))
         expected = _as_point_set(oracle.window_query(window))
         if exact and got != expected:
             raise CrashRecoveryMismatch(

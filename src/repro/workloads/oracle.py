@@ -7,9 +7,8 @@ operation, which is what the model-based differential fuzz harness (and the
 :class:`~repro.workloads.runner.ScenarioRunner`'s agreement checking) compare
 the real indices against.
 
-It intentionally mirrors the :class:`~repro.evaluation.adapters.IndexAdapter`
-surface (``point_query``/``window_query``/``knn_query``/``insert``/``delete``
-plus ``stats``) so it can also stand in as an index under test — useful for
+It is a :class:`~repro.baselines.interface.SpatialIndex` like every real
+index kind, so it can also stand in as an index under test — useful for
 testing the runner itself.
 """
 
@@ -19,8 +18,8 @@ import numpy as np
 
 from repro.analytics.attributes import attribute_values
 from repro.analytics.ops import AggregateOutcome, AggregateSpec, exact_aggregate
+from repro.baselines.interface import SpatialIndex
 from repro.geometry import Rect, euclidean_many
-from repro.storage import AccessStats
 from repro.workloads.pointset import LivePointSet
 
 __all__ = ["OracleIndex"]
@@ -28,17 +27,14 @@ __all__ = ["OracleIndex"]
 _EMPTY = np.empty((0, 2), dtype=float)
 
 
-class OracleIndex:
+class OracleIndex(SpatialIndex):
     """Exact brute-force index over an in-memory point list."""
 
     name = "Oracle"
-    prefers_exact_queries = True
-    supports_exact_results = True
-    supports_attributes = True
 
     def __init__(self):
+        super().__init__()
         self._points = LivePointSet()
-        self.stats = AccessStats()
 
     def build(self, points: np.ndarray) -> "OracleIndex":
         points = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -58,11 +54,8 @@ class OracleIndex:
 
     # -- queries --------------------------------------------------------------
 
-    def point_query(self, x: float, y: float) -> bool:
-        return (float(x), float(y)) in self._points
-
     def contains(self, x: float, y: float) -> bool:
-        return self.point_query(x, y)
+        return (float(x), float(y)) in self._points
 
     def window_query(self, window: Rect) -> np.ndarray:
         points = self.points()
@@ -106,22 +99,19 @@ class OracleIndex:
 
     # -- updates --------------------------------------------------------------
 
-    def insert(self, x: float, y: float) -> None:
+    def _insert(self, x: float, y: float) -> None:
         try:
             self._points.add((float(x), float(y)))
         except ValueError:
             raise ValueError(f"oracle already stores ({x}, {y})") from None
 
-    def delete(self, x: float, y: float) -> bool:
+    def _delete(self, x: float, y: float) -> bool:
         return self._points.discard((float(x), float(y)))
 
     # -- metadata -------------------------------------------------------------
 
     def size_bytes(self) -> int:
         return 16 * self.n_points
-
-    def extra_metrics(self) -> dict:
-        return {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OracleIndex({self.n_points} points)"

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.analytics.attributes import attribute_value
 from repro.analytics.ops import QueryRequest, quantile_rank_distance
+from repro.baselines.interface import SpatialIndex
 from repro.engine import BatchQueryEngine
 from repro.evaluation.metrics import knn_recall, window_recall
 from repro.sharding import ShardedBatchEngine, ShardedSpatialIndex
@@ -60,12 +61,9 @@ from repro.workloads.stream import Operation, generate_operations
 __all__ = ["ScenarioMismatch", "ScenarioSnapshot", "ScenarioResult", "ScenarioRunner"]
 
 
-def _innermost(index):
-    """Peel every wrapper layer (DurableIndex, evaluation adapters) off."""
-    target = index
-    while hasattr(target, "wrapped"):
-        target = target.wrapped
-    return target
+def _served(index):
+    """The index reads are served from: a DurableIndex's wrapped index."""
+    return index.wrapped if isinstance(index, DurableIndex) else index
 
 
 class ScenarioMismatch(AssertionError):
@@ -179,8 +177,9 @@ class ScenarioRunner:
     Parameters
     ----------
     index:
-        The index under test: an RSMI, a baseline, or an evaluation adapter —
-        anything :class:`~repro.engine.BatchQueryEngine` accepts.
+        The index under test: any
+        :class:`~repro.baselines.interface.SpatialIndex` kind, a sharded
+        index, or either behind a :class:`~repro.storage.DurableIndex`.
     spec:
         The scenario to run.
     oracle:
@@ -238,10 +237,7 @@ class ScenarioRunner:
         self.spec = spec
         self.oracle = oracle
         if exact_results is None:
-            detected = getattr(index, "supports_exact_results", None)
-            if detected is None:
-                detected = getattr(_innermost(index), "supports_exact_results", None)
-            exact_results = bool(detected)
+            exact_results = index.supports_exact_results
         self.exact_results = bool(exact_results)
         if engine is not None:
             if rebalancer is not None:
@@ -253,7 +249,7 @@ class ScenarioRunner:
             # a DurableIndex serves reads straight from the index it wraps
             # (only writes need the WAL, and those go through
             # self.index.insert/delete)
-            served = index.wrapped if isinstance(index, DurableIndex) else index
+            served = _served(index)
             if isinstance(served, ShardedSpatialIndex):
                 # sharded indices batch through the shard-grouping dispatcher
                 # so every read still fans out to the minimal shard set
@@ -490,9 +486,9 @@ class ScenarioRunner:
             interval.physical_accesses += physical
             self._observe_latency(op, service, interval)
             return
-        stats = getattr(self.index, "stats", None)
-        before = stats.total_reads if stats is not None else 0
-        before_physical = stats.physical_reads if stats is not None else 0
+        stats = self.index.stats
+        before = stats.total_reads
+        before_physical = stats.physical_reads
         started = time.perf_counter()
         if op.kind == "insert":
             self.index.insert(op.x, op.y)
@@ -509,8 +505,8 @@ class ScenarioRunner:
                         f"{self._name}: delete({op.x}, {op.y}) returned {removed}, "
                         f"oracle says {expected}"
                     )
-        after = stats.total_reads if stats is not None else 0
-        after_physical = stats.physical_reads if stats is not None else 0
+        after = stats.total_reads
+        after_physical = stats.physical_reads
         interval.block_accesses += max(0, after - before)
         interval.physical_accesses += max(0, after_physical - before_physical)
         self._observe_latency(op, service, interval)
@@ -533,7 +529,7 @@ class ScenarioRunner:
     # -- oracle agreement -----------------------------------------------------
 
     def _check_point(self, op: Operation, found: bool) -> None:
-        expected = self.oracle.point_query(op.x, op.y)
+        expected = self.oracle.contains(op.x, op.y)
         if found != expected:
             raise ScenarioMismatch(
                 f"{self._name}: point_query({op.x}, {op.y}) = {found}, "
@@ -571,7 +567,7 @@ class ScenarioRunner:
                 f"{reported.shape[0]} points, expected {expected_count}"
             )
         for x, y in reported:
-            if not self.oracle.point_query(float(x), float(y)):
+            if not self.oracle.contains(float(x), float(y)):
                 raise ScenarioMismatch(
                     f"{self._name}: knn({op.x}, {op.y}) reported non-stored point "
                     f"({x}, {y})"
@@ -660,9 +656,7 @@ class ScenarioRunner:
                 )
         elif spec.op == "top-k" and outcome.items:
             for value, x, y in outcome.items:
-                if not spec.window.contains_point(x, y) or not self.oracle.point_query(
-                    x, y
-                ):
+                if not spec.window.contains_point(x, y) or not self.oracle.contains(x, y):
                     raise ScenarioMismatch(
                         f"{label} reported non-stored/out-of-window item "
                         f"({value}, {x}, {y})"
@@ -680,17 +674,17 @@ class ScenarioRunner:
     ) -> ScenarioSnapshot:
         now = time.perf_counter()
         interval_s = max(now - interval.started_at, 1e-9)
-        target = _innermost(self.index)
+        target = _served(self.index)
         store = getattr(target, "store", None)
         n_overflow = max_depth = None
-        if store is not None and hasattr(store, "chain_depths"):
+        if store is not None:
             depths = store.chain_depths()
             n_overflow = store.n_overflow_blocks
             max_depth = max(depths) if depths else 0
         n_points = (
             self.oracle.n_points
             if self.oracle is not None
-            else int(getattr(target, "n_points", 0))
+            else int(target.n_points)
         )
         return ScenarioSnapshot(
             op_index=op_index,
@@ -709,8 +703,8 @@ class ScenarioRunner:
             n_overflow_blocks=n_overflow,
             max_chain_depth=max_depth,
             per_shard_points=(
-                self.index.per_shard_points()
-                if hasattr(self.index, "per_shard_points")
+                target.per_shard_points()
+                if isinstance(target, ShardedSpatialIndex)
                 else None
             ),
             cache_hit_ratio=self._interval_hit_ratio(interval),
@@ -725,10 +719,7 @@ class ScenarioRunner:
         return 1.0 - interval.physical_accesses / interval.block_accesses
 
     def _has_cache(self) -> bool:
-        served = (
-            self.index.wrapped if isinstance(self.index, DurableIndex) else self.index
-        )
+        served = _served(self.index)
         if isinstance(served, ShardedSpatialIndex):
             return served.cache_hit_ratio() is not None
-        target = _innermost(self.index)
-        return getattr(target, "cache", None) is not None
+        return isinstance(served, SpatialIndex) and served.cache is not None

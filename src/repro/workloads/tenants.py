@@ -125,14 +125,13 @@ class MultiTenantOracle:
     """Per-tenant brute-force shadows whose union answers shared queries.
 
     Mirrors the :class:`OracleIndex` surface the scenario runner checks
-    against — reads (``point_query``/``window_query``/``knn_query``) answer
+    against — reads (``contains``/``window_query``/``knn_query``) answer
     over the union of all tenants' live points, writes take a ``tenant=``
     argument and go to that tenant's shadow only.  ``tenant_aware`` is the
     attribute the runner sniffs to route ``Operation.tenant`` through.
     """
 
     name = "MultiTenantOracle"
-    prefers_exact_queries = True
     supports_exact_results = True
     supports_attributes = True
     tenant_aware = True
@@ -172,11 +171,8 @@ class MultiTenantOracle:
 
     # -- queries (union of tenants) -------------------------------------------
 
-    def point_query(self, x: float, y: float) -> bool:
-        return any(shadow.point_query(x, y) for shadow in self.shadows)
-
     def contains(self, x: float, y: float) -> bool:
-        return self.point_query(x, y)
+        return any(shadow.contains(x, y) for shadow in self.shadows)
 
     def window_query(self, window: Rect) -> np.ndarray:
         chunks = [shadow.window_query(window) for shadow in self.shadows]

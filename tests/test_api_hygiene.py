@@ -7,11 +7,16 @@ re-exports the documented entry points.
 
 import importlib
 import pkgutil
+import re
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+
+SRC = Path(repro.__file__).resolve().parent
 
 PUBLIC_MODULES = sorted(
     name
@@ -88,3 +93,41 @@ class TestTopLevelApi:
             referenced.update(re.findall(r'run_experiment\("([^"]+)"\)', path.read_text()))
         assert referenced  # the harness really does reference experiments
         assert referenced.issubset(set(EXPERIMENT_REGISTRY))
+
+
+class TestIndexProtocol:
+    """Every index kind implements :class:`SpatialIndex`; the layers that
+    serve them dispatch on declared capabilities, never on probes."""
+
+    def test_evaluation_exports_no_adapters(self):
+        from repro import evaluation
+        from repro.evaluation import adapters
+
+        for module in (evaluation, adapters):
+            assert not [name for name in dir(module) if name.endswith("Adapter")]
+
+    def test_every_suite_index_is_a_spatial_index(self):
+        from repro.baselines.interface import SpatialIndex
+        from repro.evaluation import INDEX_NAMES, build_index_suite
+        from repro.nn import TrainingConfig
+        from repro.sharding import EXACT_KINDS
+
+        points = np.random.default_rng(0).random((300, 2))
+        suite = build_index_suite(
+            points, block_capacity=16, partition_threshold=150,
+            training=TrainingConfig(epochs=3, seed=0),
+        )
+        assert set(suite) == set(INDEX_NAMES)
+        for name, index in suite.items():
+            assert isinstance(index, SpatialIndex), name
+            assert index.name == name
+            # a class-level declaration, matching the kinds the sharded
+            # index derives its own flag from
+            assert type(index).supports_exact_results is (name in EXACT_KINDS), name
+
+    @pytest.mark.parametrize(
+        "relative", ["engine/engine.py", "core/batch.py", "sharding/engine.py"]
+    )
+    def test_dispatch_layers_have_no_attribute_probes(self, relative):
+        source = (SRC / relative).read_text()
+        assert not re.findall(r"\b(?:has|get)attr\(", source), relative

@@ -39,7 +39,7 @@ EXACT_INDICES = frozenset({"Grid", "HRR", "KDB", "RR*", "RSMIa"})
 SHARDED_KINDS = ("Grid", "KDB", "RSMIa")
 
 
-def _build_adapter(name: str, points, epochs: int = 6):
+def _build_index(name: str, points, epochs: int = 6):
     suite = build_index_suite(
         points,
         index_names=[name],
@@ -68,11 +68,11 @@ def test_cached_scenario_agrees_with_oracle(name, policy):
     page (missed invalidation) breaks agreement and raises."""
     seed = INDEX_NAMES.index(name) + (17 if policy == "clock" else 0)
     points = dataset_by_name("uniform", 300, seed=seed)
-    adapter = _build_adapter(name, points)
-    adapter.attach_cache(PageCache(8, policy))  # tiny: forces constant eviction
+    index = _build_index(name, points)
+    index.attach_cache(PageCache(8, policy))  # tiny: forces constant eviction
     oracle = OracleIndex().build(points)
     result = ScenarioRunner(
-        adapter, _spec(seed + 1), oracle=oracle, exact_results=name in EXACT_INDICES
+        index, _spec(seed + 1), oracle=oracle, exact_results=name in EXACT_INDICES
     ).run(points)
     assert result.checked
     assert result.total_physical_accesses <= result.total_block_accesses
@@ -88,9 +88,9 @@ def test_logical_reads_identical_with_and_without_cache(name):
     queries = points[np.random.default_rng(3).integers(0, 400, size=120)]
 
     request = QueryRequest.for_points(queries)
-    uncached = BatchQueryEngine(_build_adapter(name, points)).execute(request)
+    uncached = BatchQueryEngine(_build_index(name, points)).execute(request)
     cached = BatchQueryEngine(
-        _build_adapter(name, points), cache_blocks=6, cache_policy="lru"
+        _build_index(name, points), cache_blocks=6, cache_policy="lru"
     ).execute(request)
 
     assert cached.values == uncached.values
@@ -232,9 +232,9 @@ class TestCompositeAccessStatsParity:
         """Drive a sharded and a single index through the same delta-based
         measurement loop; both must support it identically."""
         points = dataset_by_name("uniform", 300, seed=6)
-        single = _build_adapter("Grid", points)
+        single = _build_index("Grid", points)
         sharded = self._sharded(points)
-        for index in (single.wrapped, sharded):
+        for index in (single, sharded):
             per_query = []
             for x, y in points[:10]:
                 before = index.stats.snapshot()
@@ -275,11 +275,11 @@ def test_cached_scenario_fuzz_large_randomized(name, policy):
     still under constant eviction pressure."""
     seed = 300 + INDEX_NAMES.index(name) + (31 if policy == "clock" else 0)
     points = dataset_by_name("skewed", 1_000, seed=seed)
-    adapter = _build_adapter(name, points, epochs=12)
-    adapter.attach_cache(PageCache(16, policy))
+    index = _build_index(name, points, epochs=12)
+    index.attach_cache(PageCache(16, policy))
     oracle = OracleIndex().build(points)
     result = ScenarioRunner(
-        adapter,
+        index,
         _spec(seed + 1, n_ops=1_000),
         oracle=oracle,
         exact_results=name in EXACT_INDICES,
@@ -373,10 +373,10 @@ def test_shared_pool_answers_match_private_cache(name):
     queries = points[np.random.default_rng(13).integers(0, 400, size=120)]
 
     private = BatchQueryEngine(
-        _build_adapter(name, points), cache_blocks=6, cache_policy="lru"
+        _build_index(name, points), cache_blocks=6, cache_policy="lru"
     ).execute(QueryRequest.for_points(queries))
     pooled = BatchQueryEngine(
-        _build_adapter(name, points), shared_pool=SharedBufferPool(6)
+        _build_index(name, points), shared_pool=SharedBufferPool(6)
     ).execute(QueryRequest.for_points(queries))
 
     assert pooled.values == private.values
@@ -441,9 +441,9 @@ def test_batch_reorder_answers_identical():
         windows.append(Rect(lo[0], lo[1], lo[0] + extent[0], lo[1] + extent[1]))
 
     for name in ("Grid", "KDB", "ZM"):
-        plain = BatchQueryEngine(_build_adapter(name, points), mode="sequential")
+        plain = BatchQueryEngine(_build_index(name, points), mode="sequential")
         ordered = BatchQueryEngine(
-            _build_adapter(name, points), mode="sequential", reorder=True
+            _build_index(name, points), mode="sequential", reorder=True
         )
         point_request = QueryRequest.for_points(queries)
         assert ordered.execute(point_request).values == plain.execute(point_request).values

@@ -27,7 +27,7 @@ class TestBatchWindowQueries:
     def test_approximate_and_exact(self, built_rsmi, skewed_points):
         windows = generate_window_queries(skewed_points, 5, area_fraction=0.002, seed=1)
         approx = batch_window_queries(built_rsmi, windows)
-        exact = batch_window_queries(built_rsmi, windows, exact=True)
+        exact = batch_window_queries(built_rsmi.exact_view(), windows)
         assert approx.n_queries == exact.n_queries == 5
         for window, exact_result in zip(windows, exact.results):
             truth = brute_force_window(skewed_points, window)
@@ -35,10 +35,10 @@ class TestBatchWindowQueries:
         for approx_result, exact_result in zip(approx.results, exact.results):
             assert approx_result.shape[0] <= exact_result.shape[0]
 
-    def test_works_with_baseline_adapters(self, uniform_points):
-        adapter = build_index_suite(uniform_points, index_names=["Grid"], block_capacity=20)["Grid"]
+    def test_works_with_baselines(self, uniform_points):
+        grid = build_index_suite(uniform_points, index_names=["Grid"], block_capacity=20)["Grid"]
         windows = [Rect(0.1, 0.1, 0.3, 0.3), Rect(0.6, 0.6, 0.8, 0.8)]
-        batch = batch_window_queries(adapter, windows)
+        batch = batch_window_queries(grid, windows)
         assert batch.n_queries == 2
         for window, result in zip(windows, batch.results):
             assert result.shape[0] == brute_force_window(uniform_points, window).shape[0]
@@ -52,8 +52,8 @@ class TestBatchKnnQueries:
         for result in batch.results:
             assert result.shape == (5, 2)
 
-    def test_exact_variant(self, built_rsmi, skewed_points):
-        batch = batch_knn_queries(built_rsmi, skewed_points[:3], k=3, exact=True)
+    def test_exact_kind(self, built_rsmi, skewed_points):
+        batch = batch_knn_queries(built_rsmi.exact_view(), skewed_points[:3], k=3)
         for result in batch.results:
             assert result.shape == (3, 2)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.knn import initial_search_region
+from repro.core.knn import initial_search_region, knn_query
 from repro.queries import brute_force_knn, generate_knn_queries
 
 
@@ -27,16 +27,16 @@ class TestInitialSearchRegion:
 class TestApproximateKNN:
     def test_invalid_k_raises(self, built_rsmi):
         with pytest.raises(ValueError):
-            built_rsmi.knn_query(0.5, 0.5, 0)
+            knn_query(built_rsmi, 0.5, 0.5, 0)
 
     def test_returns_k_points(self, built_rsmi):
-        result = built_rsmi.knn_query(0.4, 0.05, 10)
+        result = knn_query(built_rsmi, 0.4, 0.05, 10)
         assert result.count == 10
         assert result.distances.shape == (10,)
         assert np.all(np.diff(result.distances) >= 0)  # sorted by distance
 
     def test_reported_points_are_stored_points(self, built_rsmi, skewed_points):
-        result = built_rsmi.knn_query(0.4, 0.05, 10)
+        result = knn_query(built_rsmi, 0.4, 0.05, 10)
         stored = {tuple(p) for p in np.round(skewed_points, 12)}
         for point in np.round(result.points, 12):
             assert tuple(point) in stored
@@ -47,26 +47,39 @@ class TestApproximateKNN:
         recalls = []
         for x, y in queries:
             truth = brute_force_knn(skewed_points, float(x), float(y), 10)
-            result = built_rsmi.knn_query(float(x), float(y), 10)
+            result = knn_query(built_rsmi, float(x), float(y), 10)
             truth_set = {tuple(p) for p in np.round(truth, 12)}
             found = {tuple(p) for p in np.round(result.points, 12)}
             recalls.append(len(found & truth_set) / len(truth_set))
         assert np.mean(recalls) >= 0.7
 
     def test_k_larger_than_dataset(self, built_rsmi, skewed_points):
-        result = built_rsmi.knn_query(0.5, 0.5, skewed_points.shape[0] + 50)
+        result = knn_query(built_rsmi, 0.5, 0.5, skewed_points.shape[0] + 50)
         assert result.count <= skewed_points.shape[0]
         assert result.count > 0
 
     def test_k_equals_one_finds_a_close_point(self, built_rsmi, skewed_points):
         x, y = map(float, skewed_points[17])
-        result = built_rsmi.knn_query(x, y, 1)
+        result = knn_query(built_rsmi, x, y, 1)
         assert result.count == 1
         assert result.distances[0] <= 1e-9  # the query point itself is stored
 
     def test_expansions_recorded(self, built_rsmi):
-        result = built_rsmi.knn_query(0.9, 0.9, 5)
+        result = knn_query(built_rsmi, 0.9, 0.9, 5)
         assert result.expansions >= 1
+
+
+class TestKNNProtocol:
+    def test_rsmi_returns_algorithm_3_points(self, built_rsmi):
+        assert np.array_equal(
+            built_rsmi.knn_query(0.4, 0.05, 10), knn_query(built_rsmi, 0.4, 0.05, 10).points
+        )
+
+    def test_rsmia_returns_exact_points(self, built_rsmi):
+        assert np.array_equal(
+            built_rsmi.exact_view().knn_query(0.4, 0.05, 10),
+            built_rsmi.knn_query_exact(0.4, 0.05, 10).points,
+        )
 
 
 class TestExactKNN:
@@ -84,7 +97,7 @@ class TestExactKNN:
 
     def test_exact_flag(self, built_rsmi):
         assert built_rsmi.knn_query_exact(0.5, 0.5, 3).exact
-        assert not built_rsmi.knn_query(0.5, 0.5, 3).exact
+        assert not knn_query(built_rsmi, 0.5, 0.5, 3).exact
 
     def test_uniform_data_exact_knn(self, built_rsmi_uniform, uniform_points):
         truth = brute_force_knn(uniform_points, 0.5, 0.5, 15)

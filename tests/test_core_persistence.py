@@ -19,6 +19,16 @@ from repro.nn import TrainingConfig
 from repro.storage import PageCache
 
 
+class TestPickledSize:
+    def test_pickle_carries_no_training_activations(self, built_rsmi):
+        """Training caches (each layer's last batch) are dropped when
+        training ends, so a checkpoint stays close to the index's size."""
+        assert len(pickle.dumps(built_rsmi)) <= 4 * built_rsmi.size_bytes()
+        for leaf in built_rsmi.iter_leaves():
+            for layer in leaf.model.layers:
+                assert layer._last_input is None and layer._last_output is None
+
+
 class TestSaveLoadRoundtrip:
     def test_rsmi_roundtrip_preserves_queries(self, built_rsmi, skewed_points, tmp_path):
         path = save_index(built_rsmi, tmp_path / "rsmi.idx")

@@ -59,7 +59,7 @@ class TestInsertions:
     def test_inserted_points_visible_to_approximate_window_query(self, mutable_rsmi):
         mutable_rsmi.insert(0.42, 0.0456)
         result = mutable_rsmi.window_query(Rect(0.41, 0.04, 0.43, 0.05))
-        assert [0.42, 0.0456] in np.round(result.points, 12).tolist()
+        assert [0.42, 0.0456] in np.round(result, 12).tolist()
 
     def test_inserted_points_found_by_exact_knn(self, mutable_rsmi):
         mutable_rsmi.insert(0.9123, 0.9456)
@@ -232,7 +232,7 @@ class TestQueriesAfterHeavyUpdates:
                 continue
             result = mutable_rsmi.window_query(window)
             truth_set = {tuple(p) for p in np.round(truth, 12)}
-            found = {tuple(p) for p in np.round(result.points, 12)}
+            found = {tuple(p) for p in np.round(result, 12)}
             recalls.append(len(found & truth_set) / len(truth_set))
         assert np.mean(recalls) >= 0.6
 

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import QueryRequest
+from repro.core import RSMIa, RSMIConfig
 from repro.core.batch import batch_knn_queries, batch_point_queries, batch_window_queries
 from repro.engine import ENGINE_MODES, BatchQueryEngine
 from repro.datasets import dataset_by_name
@@ -75,22 +76,22 @@ def _as_point_set(points: np.ndarray) -> set:
     return {tuple(p) for p in np.round(np.asarray(points, dtype=float).reshape(-1, 2), 12)}
 
 
-def _assert_differential(adapter, name, points, *, n_point, n_window, n_knn, seed):
+def _assert_differential(index, name, points, *, n_point, n_window, n_knn, seed):
     """The shared differential property, reused by the fast and slow cases."""
     stored = _as_point_set(points)
 
     # -- point queries ---------------------------------------------------------
     queries = _point_workload(points, n_point, n_point // 2, seed)
-    sequential = batch_point_queries(adapter, queries)
-    batched = BatchQueryEngine(adapter).execute(QueryRequest.for_points(queries))
+    sequential = batch_point_queries(index, queries)
+    batched = BatchQueryEngine(index).execute(QueryRequest.for_points(queries))
     assert batched.values == sequential.results, f"{name}: batched != sequential (point)"
     truth = [tuple(q) in stored for q in np.round(queries, 12)]
     assert batched.values == truth, f"{name}: batched != ground truth (point)"
 
     # -- window queries --------------------------------------------------------
     windows = generate_window_queries(points, n_window, area_fraction=0.004, seed=seed + 1)
-    sequential_w = batch_window_queries(adapter, windows)
-    batched_w = BatchQueryEngine(adapter).execute(QueryRequest.for_windows(windows))
+    sequential_w = batch_window_queries(index, windows)
+    batched_w = BatchQueryEngine(index).execute(QueryRequest.for_windows(windows))
     assert len(batched_w.values) == len(windows)
     for window, got, want in zip(windows, batched_w.values, sequential_w.results):
         assert np.array_equal(got, want), f"{name}: batched != sequential (window)"
@@ -102,8 +103,8 @@ def _assert_differential(adapter, name, points, *, n_point, n_window, n_knn, see
 
     # -- kNN queries -----------------------------------------------------------
     knn_queries = _point_workload(points, n_knn, 0, seed + 2)
-    sequential_k = batch_knn_queries(adapter, knn_queries, K)
-    batched_k = BatchQueryEngine(adapter).execute(QueryRequest.for_knn(knn_queries, K))
+    sequential_k = batch_knn_queries(index, knn_queries, K)
+    batched_k = BatchQueryEngine(index).execute(QueryRequest.for_knn(knn_queries, K))
     for (x, y), got, want in zip(knn_queries, batched_k.values, sequential_k.results):
         assert np.array_equal(got, want), f"{name}: batched != sequential (kNN)"
         assert got.shape[0] == K
@@ -118,9 +119,9 @@ def _assert_differential(adapter, name, points, *, n_point, n_window, n_knn, see
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
 @pytest.mark.parametrize("name", INDEX_NAMES)
 def test_differential_all_indices(suites, distribution, name):
-    points, adapters = suites[distribution]
+    points, indices = suites[distribution]
     _assert_differential(
-        adapters[name], name, points, n_point=60, n_window=8, n_knn=6, seed=7
+        indices[name], name, points, n_point=60, n_window=8, n_knn=6, seed=7
     )
 
 
@@ -128,25 +129,25 @@ def test_differential_all_indices(suites, distribution, name):
 def test_sequential_mode_matches_reference(suites, name):
     """``mode="sequential"`` forces the per-query loop: identical results
     and identical block reads to the reference helpers."""
-    points, adapters = suites["skewed"]
-    adapter = adapters[name]
+    points, indices = suites["skewed"]
+    index = indices[name]
     queries = _point_workload(points, 40, 20, 31)
     windows = generate_window_queries(points, 5, area_fraction=0.004, seed=32)
 
-    engine = BatchQueryEngine(adapter, mode="sequential")
+    engine = BatchQueryEngine(index, mode="sequential")
     got_p = engine.execute(QueryRequest.for_points(queries))
-    want_p = batch_point_queries(adapter, queries)
+    want_p = batch_point_queries(index, queries)
     assert got_p.values == want_p.results
     assert got_p.access.logical_reads == want_p.total_block_accesses
     for got, want in zip(
         engine.execute(QueryRequest.for_windows(windows)).values,
-        batch_window_queries(adapter, windows).results,
+        batch_window_queries(index, windows).results,
     ):
         assert np.array_equal(got, want)
     knn_queries = points[:6]
     for got, want in zip(
         engine.execute(QueryRequest.for_knn(knn_queries, K)).values,
-        batch_knn_queries(adapter, knn_queries, K).results,
+        batch_knn_queries(index, knn_queries, K).results,
     ):
         assert np.array_equal(got, want)
 
@@ -162,59 +163,64 @@ def test_engine_modes(suites):
 def test_unknown_mode_rejected(suites, name, mode):
     """Only ``auto`` and ``sequential`` exist; the removed thread-pool and
     RSMI-only modes are rejected like any other unknown name."""
-    _, adapters = suites["uniform"]
+    _, indices = suites["uniform"]
     with pytest.raises(ValueError, match="unknown engine mode"):
-        BatchQueryEngine(adapters[name], mode=mode)
+        BatchQueryEngine(indices[name], mode=mode)
 
 
 def test_batched_point_path_saves_block_accesses(suites):
     """The engine's reason to exist: far fewer block reads per batch."""
-    points, adapters = suites["skewed"]
-    adapter = adapters["RSMI"]
+    points, indices = suites["skewed"]
+    index = indices["RSMI"]
     queries = points[::2]
-    sequential = batch_point_queries(adapter, queries)
-    batched = BatchQueryEngine(adapter).execute(QueryRequest.for_points(queries))
+    sequential = batch_point_queries(index, queries)
+    batched = BatchQueryEngine(index).execute(QueryRequest.for_points(queries))
     assert batched.values == sequential.results
     assert batched.access.logical_reads < sequential.total_block_accesses
 
 
-def test_exact_variant_adapter_stays_on_exact_path(suites):
+def test_rsmia_stays_on_exact_path(suites):
     """RSMIa: point queries vectorize, window/kNN stay on the exact algorithms.
 
-    The engine must honour ``prefers_exact_queries`` — routing RSMIa windows
-    through the vectorised *approximate* path would silently destroy its
-    recall=1.0 guarantee in the experiment results.
+    The engine dispatches on the kind's declared ``supports_exact_results``
+    — routing RSMIa windows through the vectorised *approximate* path would
+    silently destroy its recall=1.0 guarantee in the experiment results.
     """
     points, _ = suites["skewed"]
-    suite = build_index_suite(
-        points,
-        index_names=("RSMI", "RSMIa"),
+    config = RSMIConfig(
         block_capacity=16,
         partition_threshold=150,
         training=TrainingConfig(epochs=10, seed=0),
         seed=0,
     )
-    adapter = suite["RSMIa"]
-    engine = BatchQueryEngine(adapter)
+    index = RSMIa(config).build(points)
+    engine = BatchQueryEngine(index)
 
     queries = _point_workload(points, 40, 20, 53)
     got_points = engine.execute(QueryRequest.for_points(queries)).values
-    assert got_points == batch_point_queries(adapter, queries).results
+    assert got_points == batch_point_queries(index, queries).results
 
     windows = generate_window_queries(points, 6, area_fraction=0.004, seed=54)
     batched = engine.execute(QueryRequest.for_windows(windows))
-    sequential = batch_window_queries(adapter, windows)
+    sequential = batch_window_queries(index, windows)
+    # the same per-query MBR traversal: same answers and the same reads
+    assert batched.access.logical_reads == sequential.total_block_accesses
     for window, got, want in zip(windows, batched.values, sequential.results):
         assert np.array_equal(got, want)
         # exact recall: precisely the brute-force answer, not a subset
         assert _as_point_set(got) == _as_point_set(brute_force_window(points, window))
 
     knn_queries = points[:5]
-    for got, want in zip(
+    for (x, y), got, want in zip(
+        knn_queries,
         engine.execute(QueryRequest.for_knn(knn_queries, K)).values,
-        batch_knn_queries(adapter, knn_queries, K).results,
+        batch_knn_queries(index, knn_queries, K).results,
     ):
         assert np.array_equal(got, want)
+        truth = brute_force_knn(points, float(x), float(y), K)
+        assert np.allclose(
+            np.sort(np.hypot(*(got - (x, y)).T)), np.sort(np.hypot(*(truth - (x, y)).T))
+        )
 
 
 @pytest.mark.slow

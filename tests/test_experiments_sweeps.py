@@ -48,17 +48,17 @@ class TestSweepHelpers:
 
     def test_make_suite_and_workloads(self, micro_profile):
         points = make_points(micro_profile)
-        adapters, reports = make_suite(points, micro_profile)
-        assert set(adapters) == set(micro_profile.index_names)
+        indices, reports = make_suite(points, micro_profile)
+        assert set(indices) == set(micro_profile.index_names)
         assert set(reports) == set(micro_profile.index_names)
 
-        point_metrics = run_point_workload(adapters, points, micro_profile)
+        point_metrics = run_point_workload(indices, points, micro_profile)
         assert all(m.n_queries == 30 for m in point_metrics.values())
 
-        window_metrics = run_window_workload(adapters, points, micro_profile)
+        window_metrics = run_window_workload(indices, points, micro_profile)
         assert window_metrics["RSMIa"].recall == 1.0
 
-        knn_metrics = run_knn_workload(adapters, points, micro_profile, k=3)
+        knn_metrics = run_knn_workload(indices, points, micro_profile, k=3)
         assert knn_metrics["Grid"].recall == 1.0
 
 
@@ -93,11 +93,11 @@ class TestUpdateSweep:
 class TestDeletionMeasurement:
     def test_measure_deletions(self, micro_profile):
         points = make_points(micro_profile)
-        adapters, _ = make_suite(points, micro_profile, index_names=("Grid",))
-        metrics = measure_deletions(adapters["Grid"], points[:20])
+        indices, _ = make_suite(points, micro_profile, index_names=("Grid",))
+        metrics = measure_deletions(indices["Grid"], points[:20])
         assert metrics.n_queries == 20
         for x, y in points[:20]:
-            assert not adapters["Grid"].point_query(float(x), float(y))
+            assert not indices["Grid"].contains(float(x), float(y))
 
 
 class TestAnalyticsSweep:

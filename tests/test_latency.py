@@ -301,7 +301,7 @@ class TestMultiTenantStreams:
     def test_multi_tenant_oracle_routes_writes(self):
         oracle = MultiTenantOracle(2).build([_points(10, 30), _points(10, 31)])
         oracle.insert(5.0, 5.0, tenant=1)
-        assert oracle.point_query(5.0, 5.0)
+        assert oracle.contains(5.0, 5.0)
         assert oracle.per_tenant_points() == [10, 11]
         assert not oracle.delete(5.0, 5.0, tenant=0)  # belongs to tenant 1
         assert oracle.delete(5.0, 5.0, tenant=1)

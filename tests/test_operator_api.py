@@ -203,7 +203,7 @@ class TestCapabilityFlags:
         assert suite["RSMIa"].supports_exact_results
         assert all(adapter.supports_attributes for adapter in suite.values())
 
-    def test_sharded_flag_follows_exact_queries(self):
+    def test_sharded_flag_follows_kind(self):
         points = _points(300, seed=10)
         exact = ShardedSpatialIndex(
             shard_index_factory("Grid", block_capacity=32), n_shards=2, policy="grid"

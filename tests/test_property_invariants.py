@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analytics import QueryRequest
 from repro.core import RSMI, RSMIConfig, load_index, save_index
+from repro.core.knn import knn_query
 from repro.engine import BatchQueryEngine
 from repro.geometry import Rect
 from repro.nn import TrainingConfig
@@ -96,7 +97,7 @@ class TestWindowQueryInvariants:
         index = build_index(points)
         window = Rect.from_center(cx, cy, width, height)
         truth = {tuple(p) for p in np.round(brute_force_window(points, window), 9)}
-        reported = index.window_query(window).points
+        reported = index.window_query(window)
         for point in np.round(reported, 9):
             assert tuple(point) in truth
 
@@ -130,7 +131,7 @@ class TestKnnInvariants:
     @given(points=point_sets(), qx=st.floats(0, 1), qy=st.floats(0, 1), k=st.integers(1, 10))
     def test_approximate_knn_returns_k_stored_points(self, points, qx, qy, k):
         index = build_index(points)
-        result = index.knn_query(qx, qy, min(k, points.shape[0]))
+        result = knn_query(index, qx, qy, min(k, points.shape[0]))
         assert result.count == min(k, points.shape[0])
         stored = {tuple(p) for p in np.round(points, 9)}
         for point in np.round(result.points, 9):
@@ -211,12 +212,12 @@ class TestBatchEngineInvariants:
         window = Rect.from_center(0.5, 0.5, 0.4, 0.3)
         assert np.array_equal(
             engine.execute(QueryRequest.for_windows([window])).values[0],
-            index.window_query(window).points,
+            index.window_query(window),
         )
 
         assert np.array_equal(
             engine.execute(QueryRequest.for_knn(single, k)).values[0],
-            index.knn_query(qx, qy, k).points,
+            index.knn_query(qx, qy, k),
         )
 
     @settings(**SETTINGS)

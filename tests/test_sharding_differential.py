@@ -47,7 +47,7 @@ def run_interleaved(index, oracle, points, n_ops=240, seed=0, exact=True):
                 x, y = live[int(rng.integers(len(live)))]
             else:
                 x, y = float(rng.random()), float(rng.random())
-            assert index.contains(x, y) == oracle.point_query(x, y), (step, x, y)
+            assert index.contains(x, y) == oracle.contains(x, y), (step, x, y)
         elif op == "window":
             cx, cy = rng.random(), rng.random()
             window = Rect.from_center(cx, cy, 0.15, 0.12).clip_to(Rect.unit())
@@ -63,7 +63,7 @@ def run_interleaved(index, oracle, points, n_ops=240, seed=0, exact=True):
             answer = index.knn_query(x, y, k)
             assert answer.shape[0] == min(k, oracle.n_points)
             for px, py in answer:
-                assert oracle.point_query(float(px), float(py)), (step, px, py)
+                assert oracle.contains(float(px), float(py)), (step, px, py)
             if exact:
                 got = np.sort(np.hypot(answer[:, 0] - x, answer[:, 1] - y))
                 np.testing.assert_allclose(
@@ -71,7 +71,7 @@ def run_interleaved(index, oracle, points, n_ops=240, seed=0, exact=True):
                 )
         elif op == "insert":
             x, y = float(rng.random()), float(rng.random())
-            if not oracle.point_query(x, y):
+            if not oracle.contains(x, y):
                 index.insert(x, y)
                 oracle.insert(x, y)
                 live.append((x, y))
@@ -104,7 +104,7 @@ def test_sharded_exact_rsmi_agreement():
     """RSMIa-configured shards (exact window/kNN variants) match brute force."""
     points = dataset_by_name("skewed", 400, seed=35)
     index, oracle = build_pair("RSMIa", "grid", 4, points, block_capacity=16)
-    assert index.exact_queries
+    assert index.supports_exact_results
     run_interleaved(index, oracle, points, n_ops=120, seed=11, exact=True)
 
 

@@ -206,8 +206,8 @@ class TestOracleIndex:
         oracle = OracleIndex().build(points)
         assert oracle.n_points == 150
         for x, y in points[:10]:
-            assert oracle.point_query(float(x), float(y))
-        assert not oracle.point_query(2.0, 2.0)
+            assert oracle.contains(float(x), float(y))
+        assert not oracle.contains(2.0, 2.0)
 
         window = Rect(0.2, 0.2, 0.6, 0.5)
         got = {tuple(p) for p in oracle.window_query(window)}
@@ -225,11 +225,11 @@ class TestOracleIndex:
         oracle = OracleIndex().build(_points(50, seed=21))
         assert not oracle.delete(3.0, 3.0)
         oracle.insert(3.0, 3.0)
-        assert oracle.point_query(3.0, 3.0)
+        assert oracle.contains(3.0, 3.0)
         with pytest.raises(ValueError):
             oracle.insert(3.0, 3.0)
         assert oracle.delete(3.0, 3.0)
-        assert not oracle.point_query(3.0, 3.0)
+        assert not oracle.contains(3.0, 3.0)
         assert oracle.n_points == 50
 
     def test_window_reflects_mutations(self):
@@ -264,9 +264,6 @@ class _TamperedOracle:
         if self._corrupt == "point":
             return False
         return self._inner.contains(x, y)
-
-    def point_query(self, x, y):
-        return self.contains(x, y)
 
     def window_query(self, window):
         result = self._inner.window_query(window)
