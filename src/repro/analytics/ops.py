@@ -166,6 +166,11 @@ class QueryRequest:
 
     @classmethod
     def for_knn(cls, points, k: int) -> "QueryRequest":
+        """kNN queries, one per row of ``points``.
+
+        A ``k`` above the live point count is valid: each answer is then
+        every live point, nearest first.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
         return cls("knn", points=_finite_points("knn", points), k=int(k))

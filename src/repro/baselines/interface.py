@@ -80,7 +80,11 @@ class SpatialIndex(abc.ABC):
 
     @abc.abstractmethod
     def knn_query(self, x: float, y: float, k: int) -> np.ndarray:
-        """The ``k`` stored points nearest to ``(x, y)``, ordered by distance."""
+        """The ``k`` stored points nearest to ``(x, y)``, ordered by distance.
+
+        When ``k`` exceeds the number of live points the answer is every
+        live point, nearest first: ``min(k, n_points)`` distinct rows.
+        """
 
     # -- updates ------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.results import KNNQueryResult
 from repro.core.window import window_block_range
-from repro.geometry import Rect, euclidean, mindist_point_rect
+from repro.geometry import Rect, mindist_point_rect
 
 __all__ = ["initial_search_region", "knn_query"]
 
@@ -42,21 +42,25 @@ def knn_query(index, x: float, y: float, k: int) -> KNNQueryResult:
     height = max(height, 1e-9)
 
     space = index.data_space()
-    space_diagonal = math.hypot(space.width, space.height) or 1.0
 
-    # sorted list of (distance, px, py); the k-th entry bounds the search
+    # sorted list of the k best (distance, px, py) so far; once it holds k
+    # entries its last distance, ``kth``, bounds the search
     best: list[tuple[float, float, float]] = []
+    kth = math.inf
     visited_positions: set[int] = set()
     blocks_scanned = 0
     expansions = 0
-
-    def kth_distance() -> float:
-        return best[k - 1][0] if len(best) >= k else float("inf")
+    hypot = math.hypot
 
     while True:
         expansions += 1
         region = Rect.from_center(x, y, width, height)
-        begin, end = window_block_range(index, region)
+        if region.contains_rect(space):
+            # every stored point lies in the region, so every block does;
+            # the corner-bounded range may not reach them all
+            begin, end = 0, index.store.n_base_blocks - 1
+        else:
+            begin, end = window_block_range(index, region)
 
         for position in range(begin, end + 1):
             if position in visited_positions:
@@ -64,36 +68,35 @@ def knn_query(index, x: float, y: float, k: int) -> KNNQueryResult:
             visited_positions.add(position)
             for block in index.store.iter_chain(position):
                 blocks_scanned += 1
-                block_mbr = block.mbr()
-                if block_mbr is None:
-                    continue
-                if len(best) >= k and mindist_point_rect(x, y, block_mbr) >= kth_distance():
-                    continue
+                # a block can only be pruned against a finite k-th distance
+                if kth < math.inf:
+                    block_mbr = block.mbr()
+                    if block_mbr is None or mindist_point_rect(x, y, block_mbr) >= kth:
+                        continue
                 for px, py in block.iter_points():
-                    distance = euclidean(x, y, px, py)
-                    if len(best) < k or distance < kth_distance():
+                    distance = hypot(x - px, y - py)
+                    if distance < kth:
                         bisect.insort(best, (distance, px, py))
-
-        covered_everything = begin == 0 and end == index.store.n_base_blocks - 1
-        region_covers_space = width >= space_diagonal * 2 and height >= space_diagonal * 2
+                        if len(best) >= k:
+                            del best[k:]
+                            kth = best[-1][0]
 
         if len(best) < k:
-            if covered_everything and region_covers_space:
-                break  # fewer than k live points exist
+            if begin == 0 and end == index.store.n_base_blocks - 1:
+                break  # every block was scanned: fewer than k live points exist
             width *= 2.0
             height *= 2.0
-        elif kth_distance() > math.hypot(width, height) / 2.0:
-            width = 2.0 * kth_distance()
-            height = 2.0 * kth_distance()
+        elif kth > math.hypot(width, height) / 2.0:
+            width = 2.0 * kth
+            height = 2.0 * kth
         else:
             break
 
         if expansions >= index.config.knn_max_expansions:
             break
 
-    top = best[:k]
-    points = np.asarray([(px, py) for _, px, py in top], dtype=float).reshape(-1, 2)
-    distances = np.asarray([d for d, _, _ in top], dtype=float)
+    points = np.asarray([(px, py) for _, px, py in best], dtype=float).reshape(-1, 2)
+    distances = np.asarray([d for d, _, _ in best], dtype=float)
     return KNNQueryResult(
         points=points,
         distances=distances,

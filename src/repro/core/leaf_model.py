@@ -131,8 +131,9 @@ class LeafModel:
         """Predicted local block index in ``[0, n_local_blocks)``."""
         features = self.scaler.transform(np.array([[x, y]], dtype=float))
         denominator = max(self.n_local_blocks - 1, 1)
-        raw = self.model.predict(features)[0] * denominator
-        return int(np.clip(np.rint(raw), 0, self.n_local_blocks - 1))
+        raw = float(self.model.predict(features)[0]) * denominator
+        # clamp, then round half to even like np.rint in predict_locals
+        return round(min(max(raw, 0.0), self.n_local_blocks - 1))
 
     def predict_position(self, x: float, y: float) -> int:
         """Predicted global base-block position."""

@@ -87,8 +87,9 @@ class LearnedPartitioning:
         """Predicted cell curve value for a point, in ``[0, n_cells)``."""
         features = self.scaler.transform(np.array([[x, y]], dtype=float))
         denominator = max(self.n_cells - 1, 1)
-        raw = self.model.predict(features)[0] * denominator
-        return int(np.clip(np.rint(raw), 0, self.n_cells - 1))
+        raw = float(self.model.predict(features)[0]) * denominator
+        # clamp, then round half to even like np.rint in predict_cells
+        return round(min(max(raw, 0.0), self.n_cells - 1))
 
     def predict_cells(self, points: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
         """Vectorised cell prediction.

@@ -27,6 +27,12 @@ class PointQueryResult:
         Number of sub-models invoked to reach the leaf (the paper's "depth").
     blocks_scanned:
         Number of data blocks examined while searching the error range.
+    scan_begin / scan_end:
+        The inclusive base-block position range the query searched: the
+        leaf's error range around the prediction,
+        ``leaf.scan_range(x, y)``.  Set whether or not the point was found,
+        so the window query can bound an unlocated corner without a second
+        descent.
     """
 
     found: bool
@@ -35,11 +41,17 @@ class PointQueryResult:
     predicted_position: int | None = None
     depth: int = 0
     blocks_scanned: int = 0
+    scan_begin: int | None = None
+    scan_end: int | None = None
 
 
 @dataclass
 class WindowQueryResult:
-    """Outcome of a window query (Algorithm 2 or the exact RSMIa traversal)."""
+    """Outcome of a window query (Algorithm 2 or the exact RSMIa traversal).
+
+    ``scan_begin``/``scan_end`` are the inclusive base-block position range
+    Algorithm 2 scanned (``None`` for the exact traversal).
+    """
 
     points: np.ndarray
     blocks_scanned: int = 0

@@ -214,12 +214,16 @@ class RSMI(SpatialIndex):
                         predicted_position=predicted,
                         depth=depth,
                         blocks_scanned=blocks_scanned,
+                        scan_begin=begin,
+                        scan_end=end,
                     )
         return PointQueryResult(
             found=False,
             predicted_position=predicted,
             depth=depth,
             blocks_scanned=blocks_scanned,
+            scan_begin=begin,
+            scan_end=end,
         )
 
     def contains(self, x: float, y: float) -> bool:

@@ -35,23 +35,22 @@ def window_corner_points(window: Rect, curve_name: str) -> list[tuple[float, flo
 def window_block_range(index, window: Rect) -> tuple[int, int]:
     """Base-block position range ``[begin, end]`` to scan for ``window``.
 
-    For each corner point the query descends the RSMI like a point query; if
-    the corner happens to be an indexed point its true block position is used,
-    otherwise the prediction widened by the leaf's error bound.
+    Each corner point runs one point query (one descent): a corner that is
+    an indexed point pins the range to the position where it was found;
+    otherwise the error range the point query searched around the leaf's
+    prediction (``scan_begin``/``scan_end``) bounds it.
     """
     corners = window_corner_points(window, index.config.curve)
     lower_bounds: list[int] = []
     upper_bounds: list[int] = []
     for cx, cy in corners:
         result = index.point_query(cx, cy)
-        if result.found and result.position is not None:
+        if result.found:
             lower_bounds.append(result.position)
             upper_bounds.append(result.position)
-            continue
-        leaf, _, _ = index.route_to_leaf(cx, cy)
-        predicted = leaf.predict_position(cx, cy)
-        lower_bounds.append(max(leaf.first_position, predicted - leaf.err_below))
-        upper_bounds.append(min(leaf.last_position, predicted + leaf.err_above))
+        else:
+            lower_bounds.append(result.scan_begin)
+            upper_bounds.append(result.scan_end)
     begin = index.store.clamp_position(min(lower_bounds))
     end = index.store.clamp_position(max(upper_bounds))
     if begin > end:

@@ -7,8 +7,10 @@ underlying index allows:
 * **RSMI** point and (approximate) window queries run *level-synchronously*:
   the batch is pushed through the model hierarchy with one vectorised NumPy
   call per touched internal node (:mod:`repro.engine.routing`), leaf models
-  predict whole query groups at once, and every touched data block is scanned
-  **once per batch** instead of once per query.
+  predict whole query groups at once, and every touched block chain is read
+  **once per batch** instead of once per query.  Membership probes compare
+  against the chain's coordinate array; a chain one batch probes many times
+  is hashed into a point set once (see :data:`HASH_AFTER_PROBES`).
 * Query types without a vectorisable algorithm (the RSMI's adaptive
   expanding-region kNN, RSMIa's exact MBR traversals) and the traditional
   baseline indices fall back to one uniform per-query loop.
@@ -39,10 +41,20 @@ from repro.geometry import Rect
 from repro.storage import hilbert_sort_order, make_page_cache
 from repro.storage.stats import AccessSummary
 
-__all__ = ["BatchQueryEngine", "ENGINE_MODES"]
+__all__ = ["BatchQueryEngine", "ENGINE_MODES", "HASH_AFTER_PROBES"]
 
 #: recognised execution modes
 ENGINE_MODES = ("auto", "sequential")
+
+#: membership probes one request makes against a chain's coordinate array
+#: before it hashes the chain into a point set instead.  Hashing a 50-point
+#: chain costs about three array compares; on a 20,000-point RSMI (B=50)
+#: thresholds of 3 to 8 tie on 1-, 16- and 128-row point batches, while a
+#: 2000-row all-miss batch costs 12 us/op when always hashing, 17 at 4,
+#: 21 at 8 and 54 when never hashing.  No perfbench workload reaches the
+#: hashed side yet: its one-op requests probe a chain at most 4 times and
+#: its 128-row batches tie across thresholds 3 to 8.
+HASH_AFTER_PROBES = 4
 
 _EMPTY = np.empty((0, 2), dtype=float)
 
@@ -250,13 +262,13 @@ class BatchQueryEngine:
         batch), but folds each touched block's in-window points straight
         into the spec's partial — no per-window point set is built.
         """
-        cache: dict[int, tuple[np.ndarray, set]] = {}
+        cache: dict[int, np.ndarray] = {}
         windows = [spec.window for spec in specs]
         partials = []
         for spec, (begin, end) in zip(specs, self._window_block_ranges(windows, cache)):
             partial = spec.new_partial()
             for position in range(begin, end + 1):
-                points = self._position_points(position, cache)
+                points = self._load_position(position, cache)
                 if points.shape[0] == 0:
                     continue
                 inside = points[spec.window.contains_points(points)]
@@ -272,18 +284,22 @@ class BatchQueryEngine:
 
         Equivalent to running Algorithm 1 per query: each query's error-bound
         block range is examined, but every touched block chain is read once
-        per batch and turned into a hashed point set, so membership checks
-        are O(1) instead of re-scanning blocks per query.
+        per batch, and each probe is one array compare against the chain's
+        coordinates (a hashed lookup once the batch has probed the chain
+        more than :data:`HASH_AFTER_PROBES` times).
         """
         rsmi = self._rsmi
         found = [False] * points.shape[0]
-        cache: dict[int, tuple[np.ndarray, set]] = {}
+        rows = points.tolist()
+        cache: dict[int, np.ndarray] = {}
+        probes: dict[int, int] = {}
+        hashed: dict[int, set] = {}
         for batch in route_batch(rsmi, points):
             begins, ends = batch.leaf.scan_ranges(points[batch.indices])
             for qi, begin, end in zip(batch.indices.tolist(), begins.tolist(), ends.tolist()):
-                key = (points[qi, 0], points[qi, 1])
+                x, y = rows[qi]
                 for position in range(begin, end + 1):
-                    if key in self._position_members(position, cache):
+                    if self._chain_holds(position, x, y, cache, probes, hashed):
                         found[qi] = True
                         break
         return found
@@ -297,11 +313,11 @@ class BatchQueryEngine:
         corners pin the range, unlocated corners widen it by the leaf error
         bounds), and the union of touched blocks is scanned once.
         """
-        cache: dict[int, tuple[np.ndarray, set]] = {}
+        cache: dict[int, np.ndarray] = {}
         results: list[np.ndarray] = []
         for window, (begin, end) in zip(windows, self._window_block_ranges(windows, cache)):
             chunks = [
-                self._position_points(position, cache) for position in range(begin, end + 1)
+                self._load_position(position, cache) for position in range(begin, end + 1)
             ]
             candidates = np.vstack(chunks) if chunks else _EMPTY
             if candidates.shape[0] == 0:
@@ -325,6 +341,9 @@ class BatchQueryEngine:
         corners = np.asarray(
             [corner for corners in corner_lists for corner in corners], dtype=float
         ).reshape(-1, 2)
+        rows = corners.tolist()
+        probes: dict[int, int] = {}
+        hashed: dict[int, set] = {}
 
         lower = np.empty(corners.shape[0], dtype=np.int64)
         upper = np.empty(corners.shape[0], dtype=np.int64)
@@ -336,10 +355,10 @@ class BatchQueryEngine:
             for qi, pred, begin, end in zip(
                 batch.indices.tolist(), predicted.tolist(), begins.tolist(), ends.tolist()
             ):
-                key = (corners[qi, 0], corners[qi, 1])
+                x, y = rows[qi]
                 located = None
                 for position in _outward_positions(pred, begin, end):
-                    if key in self._position_members(position, cache):
+                    if self._chain_holds(position, x, y, cache, probes, hashed):
                         located = position
                         break
                 if located is not None:
@@ -361,29 +380,42 @@ class BatchQueryEngine:
 
     # ----------------------------------------------------------- block-batch cache --
 
-    def _load_position(
-        self, position: int, cache: dict[int, tuple[np.ndarray, set]]
-    ) -> tuple[np.ndarray, set]:
-        """Read one base block chain (once per batch) into array + hashed forms.
+    def _load_position(self, position: int, cache: dict[int, np.ndarray]) -> np.ndarray:
+        """Read one base block chain (once per batch) as an ``(m, 2)`` array.
 
         The array keeps the points in chain order (base block then overflow
         blocks, live points in slot order), matching what the sequential scan
         would concatenate, so batched window results preserve the sequential
         result order exactly.
         """
-        entry = cache.get(position)
-        if entry is None:
+        points = cache.get(position)
+        if points is None:
             chunks = [block.points() for block in self._rsmi.store.iter_chain(position)]
             points = np.vstack(chunks) if chunks else _EMPTY
-            entry = (points, set(map(tuple, points)))
-            cache[position] = entry
-        return entry
+            cache[position] = points
+        return points
 
-    def _position_points(self, position: int, cache) -> np.ndarray:
-        return self._load_position(position, cache)[0]
+    def _chain_holds(
+        self, position: int, x: float, y: float, cache: dict, probes: dict, hashed: dict
+    ) -> bool:
+        """True when ``(x, y)`` is a live point of the chain at ``position``.
 
-    def _position_members(self, position: int, cache) -> set:
-        return self._load_position(position, cache)[1]
+        Compares with ``==`` against the chain's coordinate array;
+        ``probes[position]`` counts this batch's compares.  Past
+        :data:`HASH_AFTER_PROBES` the chain is hashed into a point set,
+        ``hashed[position]``, and later probes are set lookups with the
+        same answers.
+        """
+        members = hashed.get(position)
+        if members is not None:
+            return (x, y) in members
+        points = self._load_position(position, cache)
+        seen = probes.get(position, 0)
+        if seen < HASH_AFTER_PROBES:
+            probes[position] = seen + 1
+            return bool(((points[:, 0] == x) & (points[:, 1] == y)).any())
+        members = hashed[position] = set(map(tuple, points.tolist()))
+        return (x, y) in members
 
     # -------------------------------------------------------------- fallback path --
 

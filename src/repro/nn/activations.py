@@ -36,13 +36,11 @@ class Sigmoid(Activation):
     name = "sigmoid"
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        # numerically stable sigmoid
-        out = np.empty_like(z, dtype=float)
-        positive = z >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-        exp_z = np.exp(z[~positive])
-        out[~positive] = exp_z / (1.0 + exp_z)
-        return out
+        # numerically stable sigmoid: exp only ever sees -|z|, so it cannot
+        # overflow; 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below
+        e = np.exp(-np.abs(z))
+        denominator = 1.0 + e
+        return np.where(z >= 0, 1.0 / denominator, e / denominator)
 
     def derivative(self, z: np.ndarray, activated: np.ndarray) -> np.ndarray:
         return activated * (1.0 - activated)

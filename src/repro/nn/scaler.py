@@ -41,12 +41,11 @@ class MinMaxScaler:
         self._require_fitted()
         data = np.asarray(data, dtype=float)
         span = self.data_max - self.data_min
-        scaled = np.empty_like(data, dtype=float)
         degenerate = span == 0
-        safe_span = np.where(degenerate, 1.0, span)
-        scaled = (data - self.data_min) / safe_span
-        if np.any(degenerate):
-            scaled[:, degenerate] = 0.5
+        if not degenerate.any():
+            return (data - self.data_min) / span
+        scaled = (data - self.data_min) / np.where(degenerate, 1.0, span)
+        scaled[:, degenerate] = 0.5
         return scaled
 
     def fit_transform(self, data: np.ndarray) -> np.ndarray:

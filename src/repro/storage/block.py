@@ -107,34 +107,29 @@ class Block:
         self._deleted[:count] = False
         self._count = count
 
-    def delete(self, x: float, y: float, tolerance: float = 0.0) -> bool:
+    def _matches(self, x: float, y: float) -> np.ndarray:
+        """Boolean mask over the occupied slots: live points equal to ``(x, y)``.
+
+        Compares with ``==``, so ``-0.0`` matches ``0.0``.
+        """
+        n = self._count
+        coords = self._coords[:n]
+        return (coords[:, 0] == x) & (coords[:, 1] == y) & ~self._deleted[:n]
+
+    def delete(self, x: float, y: float) -> bool:
         """Flag the first live point equal to ``(x, y)`` as deleted.
 
-        Returns True when a point was deleted.  ``tolerance`` allows matching
-        under floating-point round-off.
+        Returns True when a point was deleted.
         """
-        for i in range(self._count):
-            if self._deleted[i]:
-                continue
-            if (
-                abs(self._coords[i, 0] - x) <= tolerance
-                and abs(self._coords[i, 1] - y) <= tolerance
-            ):
-                self._deleted[i] = True
-                return True
-        return False
+        slots = np.flatnonzero(self._matches(x, y))
+        if slots.size == 0:
+            return False
+        self._deleted[slots[0]] = True
+        return True
 
-    def contains(self, x: float, y: float, tolerance: float = 0.0) -> bool:
+    def contains(self, x: float, y: float) -> bool:
         """True when a live point equal to ``(x, y)`` is stored in this block."""
-        for i in range(self._count):
-            if self._deleted[i]:
-                continue
-            if (
-                abs(self._coords[i, 0] - x) <= tolerance
-                and abs(self._coords[i, 1] - y) <= tolerance
-            ):
-                return True
-        return False
+        return bool(self._matches(x, y).any())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "overflow" if self.is_overflow else "base"

@@ -88,6 +88,10 @@ class FrequencySketch:
     minimum.  After ``10 x capacity`` increments every counter is halved,
     so stale popularity decays and a drifting working set can win admission
     comparisons against pages that were hot long ago.
+
+    A key's four row indexes are computed once per sample period and
+    memoised; aging clears the memo, so it holds at most the distinct keys
+    of one period (``10 x capacity`` increments).
     """
 
     def __init__(self, capacity: int):
@@ -99,11 +103,17 @@ class FrequencySketch:
         self._samples = 0
         self._sample_period = max(10 * capacity, 64)
         self.ages = 0
+        self._memo: dict[Hashable, tuple[int, ...]] = {}
 
-    def _indexes(self, key: Hashable) -> list[int]:
-        h = _stable_hash(key)
-        return [(((h ^ seed) * 0x9E3779B97F4A7C15) & _WORD) >> 32 & self._mask
-                for seed in _SKETCH_SEEDS]
+    def _indexes(self, key: Hashable) -> tuple[int, ...]:
+        indexes = self._memo.get(key)
+        if indexes is None:
+            h = _stable_hash(key)
+            indexes = self._memo[key] = tuple(
+                (((h ^ seed) * 0x9E3779B97F4A7C15) & _WORD) >> 32 & self._mask
+                for seed in _SKETCH_SEEDS
+            )
+        return indexes
 
     def increment(self, key: Hashable) -> None:
         for row, index in zip(self._rows, self._indexes(key)):
@@ -120,6 +130,7 @@ class FrequencySketch:
         for row in self._rows:
             for index in range(len(row)):
                 row[index] >>= 1
+        self._memo.clear()
         self._samples = 0
         self.ages += 1
 

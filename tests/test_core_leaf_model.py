@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import RSMIConfig
 from repro.core.leaf_model import LeafModel
-from repro.nn import TrainingConfig
+from repro.core.partitioning import LearnedPartitioning
+from repro.nn import MinMaxScaler, TrainingConfig
 from repro.storage import BlockStore
 
 
@@ -102,3 +103,39 @@ class TestLeafPrediction:
         first = LeafModel.build(rng.random((25, 2)), store, leaf_config, rng, level=1)
         second = LeafModel.build(rng.random((25, 2)), store, leaf_config, rng, level=1)
         assert second.first_position == first.last_position + 1
+
+
+class _ConstantModel:
+    """A stand-in regressor that predicts one fixed raw value."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def predict(self, features):
+        return np.full(len(features), self.value)
+
+    predict_chunked = predict
+
+
+@pytest.mark.parametrize(
+    "value",
+    # raw * 4 lands on ties (0.5, 1.5, 2.5, 3.5), below 0, above the last
+    # block and on interior non-ties
+    [0.125, 0.375, 0.625, 0.875, -0.3, -0.125, 1.7, 0.0, 1.0, 0.41, 0.6],
+)
+def test_scalar_prediction_rounds_and_clamps_like_the_batched_one(value):
+    """The scalar clamp-then-round (half to even) equals np.rint + np.clip."""
+    scaler = MinMaxScaler().fit(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    leaf = LeafModel(
+        _ConstantModel(value), scaler, first_position=3, n_local_blocks=5,
+        err_below=0, err_above=0, mbr=None, block_mbrs=[], n_points=1, level=0,
+    )
+    batched = int(leaf.predict_locals(np.array([[0.5, 0.5]]))[0])
+    assert leaf.predict_local(0.5, 0.5) == batched
+    assert type(leaf.predict_local(0.5, 0.5)) is int
+
+    # a 3x3 grid scales by n_cells - 1 = 8, so value / 2 gives the same raw value
+    partitioning = LearnedPartitioning(_ConstantModel(value / 2), scaler, 3, "hilbert")
+    assert partitioning.predict_cell(0.5, 0.5) == int(
+        partitioning.predict_cells(np.array([[0.5, 0.5]]))[0]
+    )

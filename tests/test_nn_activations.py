@@ -73,3 +73,31 @@ class TestActivationRegistry:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             activation_by_name("swish")
+
+
+def _masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The boolean-mask formulation the branch-free forward replaced."""
+    out = np.empty_like(z, dtype=float)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        np.random.default_rng(0).normal(scale=8.0, size=1000),
+        np.array([1e3, -1e3, 0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 36.7, -745.2]),
+        np.empty(0),
+        np.random.default_rng(1).normal(scale=4.0, size=(7, 5)),
+        np.array([[0.0, -0.0], [1e3, -1e3]]),
+    ],
+    ids=["random", "extreme", "empty", "2d", "2d-extreme"],
+)
+def test_sigmoid_forward_bit_equal_to_masked_formula(z):
+    out = Sigmoid().forward(z)
+    expected = _masked_sigmoid(z)
+    assert out.shape == expected.shape and out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()

@@ -30,6 +30,23 @@ class TestMinMaxScaler:
         scaled = MinMaxScaler().fit_transform(data)
         assert np.all(scaled[:, 1] == 0.5)
 
+    def test_degenerate_columns_map_to_half_and_others_scale(self):
+        data = np.array([[1.0, 5.0, 7.0], [3.0, 5.0, 7.0], [2.0, 5.0, 7.0]])
+        scaled = MinMaxScaler().fit(data).transform(np.array([[2.5, 9.0, -1.0]]))
+        assert scaled.tolist() == [[0.75, 0.5, 0.5]]
+
+    def test_all_degenerate_columns(self):
+        scaler = MinMaxScaler().fit(np.array([[4.0, -2.0]]))
+        assert scaler.transform(np.array([[4.0, -2.0], [0.0, 0.0]])).tolist() == [[0.5, 0.5]] * 2
+
+    def test_non_degenerate_transform_is_the_plain_formula(self):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(40, 2)) * 10
+        scaler = MinMaxScaler().fit(data)
+        queries = rng.normal(size=(25, 2)) * 20
+        expected = (queries - data.min(axis=0)) / (data.max(axis=0) - data.min(axis=0))
+        assert scaler.transform(queries).tobytes() == expected.tobytes()
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             MinMaxScaler().transform(np.zeros((1, 2)))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage import Block
 
@@ -55,11 +56,6 @@ class TestBlockContainsAndDelete:
         block.append(0.25, 0.75)
         assert block.contains(0.25, 0.75)
         assert not block.contains(0.25, 0.7500001)
-
-    def test_contains_with_tolerance(self):
-        block = Block(0, capacity=4)
-        block.append(0.25, 0.75)
-        assert block.contains(0.2500000001, 0.75, tolerance=1e-6)
 
     def test_delete_flags_point(self):
         block = Block(0, capacity=4)
@@ -115,3 +111,70 @@ class TestBlockMbrAndIteration:
     def test_overflow_flag(self):
         assert Block(3, capacity=2, is_overflow=True).is_overflow
         assert not Block(3, capacity=2).is_overflow
+
+
+# -- the vectorised membership primitive vs a scalar reference -----------------
+
+#: a small coordinate pool so appends, probes and deletes collide often;
+#: holds both signed zeros and a near-duplicate that must not match
+_COORD = st.sampled_from([0.0, -0.0, 0.25, 0.25 + 1e-9, 0.5, 1.0])
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["append", "contains", "delete"]), _COORD, _COORD),
+    max_size=40,
+)
+
+
+class _ReferenceBlock:
+    """Slots as ``[x, y, deleted]`` lists, matched one slot at a time."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.slots: list[list] = []
+
+    def append(self, x: float, y: float) -> bool:
+        if len(self.slots) < self.capacity:
+            self.slots.append([x, y, False])
+            return True
+        for slot in self.slots:
+            if slot[2]:
+                slot[:] = [x, y, False]
+                return True
+        return False
+
+    def _first_match(self, x: float, y: float):
+        for slot in self.slots:
+            if not slot[2] and slot[0] == x and slot[1] == y:
+                return slot
+        return None
+
+    def contains(self, x: float, y: float) -> bool:
+        return self._first_match(x, y) is not None
+
+    def delete(self, x: float, y: float) -> bool:
+        slot = self._first_match(x, y)
+        if slot is None:
+            return False
+        slot[2] = True
+        return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 6), ops=_OPS)
+def test_contains_and_delete_match_scalar_reference(capacity, ops):
+    """``contains``/``delete`` agree with a per-slot scan: deleted slots are
+    skipped, ``append`` reuses them, ``-0.0`` matches ``0.0``, a near-duplicate
+    does not, and ``delete`` flags the first match only."""
+    block = Block(0, capacity=capacity)
+    reference = _ReferenceBlock(capacity)
+    for op, x, y in ops:
+        if op == "append":
+            if reference.append(x, y):
+                block.append(x, y)
+            else:
+                with pytest.raises(ValueError):
+                    block.append(x, y)
+        else:
+            assert getattr(block, op)(x, y) == getattr(reference, op)(x, y)
+        count = block.slot_count
+        assert block.all_slots().tolist() == [[s[0], s[1]] for s in reference.slots]
+        assert block._deleted[:count].tolist() == [s[2] for s in reference.slots]
