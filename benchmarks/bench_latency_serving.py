@@ -9,9 +9,10 @@ repo-root canonical snapshot):
   open-loop at 1.5x that capacity must push p99 *sojourn* (queueing delay
   included, via the virtual clock) above the closed-loop p99, while the
   service percentiles stay in the same regime.
-* **Per-shard breakdown** — a sharded deployment attributes per-query
-  latency per shard; under hotspot traffic the hot shard carries most of
-  the load, and the per-shard summaries must account for every query.
+* **Per-shard breakdown** — one-point requests against a sharded
+  deployment, each timed by the caller and grouped by the shard that owns
+  its point; under hotspot traffic the hot shard carries most of the load,
+  and the per-shard groups must account for every query.
 * **Multi-tenant fairness** — N identically-shaped tenants merged by
   arrival time experience statistically similar latency: Jain's fairness
   index over their mean sojourns stays high.
@@ -25,6 +26,7 @@ Override the data size with ``REPRO_BENCH_LATENCY_N``.
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 
@@ -65,6 +67,10 @@ def _spec():
     return scenario_by_name("latency-hotspot").with_overrides(
         n_ops=N_OPS, snapshot_every=max(1, N_OPS // 2), seed=11
     )
+
+
+def _p99_ms(seconds: np.ndarray) -> float:
+    return round(float(np.quantile(seconds, 0.99)) * 1e3, 4)
 
 
 def _build(points: np.ndarray) -> KDBTree:
@@ -121,7 +127,7 @@ def test_open_loop_p99_includes_queueing(benchmark):
 
 
 def test_per_shard_latency_attribution(benchmark):
-    """Sharded hotspot batches: per-shard percentiles account for every query."""
+    """Sharded hotspot queries: per-shard percentiles account for every query."""
     points = _points()
     rng = np.random.default_rng(17)
     # 95% of queries from one small region -> one shard runs hot
@@ -135,10 +141,18 @@ def test_per_shard_latency_attribution(benchmark):
     factory = shard_index_factory("KDB", block_capacity=BLOCK_CAPACITY)
     index = ShardedSpatialIndex(factory, n_shards=N_SHARDS, policy="grid").build(points)
     engine = ShardedBatchEngine(index)
-    batch = engine.execute(QueryRequest.for_points(queries))
-
-    assert batch.per_shard_latency, "sharded point batches must attribute latency"
-    counts = {shard: summary.count for shard, summary in batch.per_shard_latency.items()}
+    # engines do not time requests, so each query is its own timed request
+    seconds = np.empty(len(queries))
+    for position, row in enumerate(queries):
+        request = QueryRequest.for_points(row.reshape(1, 2))
+        started = time.perf_counter()
+        engine.execute(request)
+        seconds[position] = time.perf_counter() - started
+    owners = index.router.shards_for_points(queries)
+    per_shard_seconds = {
+        int(shard): seconds[owners == shard] for shard in np.unique(owners)
+    }
+    counts = {shard: len(times) for shard, times in per_shard_seconds.items()}
     assert sum(counts.values()) == len(queries)
     hot_shard, hot_count = max(counts.items(), key=lambda item: item[1])
     payload = {
@@ -148,10 +162,9 @@ def test_per_shard_latency_attribution(benchmark):
         "per_shard_query_counts": {str(k): v for k, v in sorted(counts.items())},
         "hot_shard_query_fraction": round(hot_count / len(queries), 4),
         "per_shard_p99_ms": {
-            str(shard): round(summary.p99_ms, 4)
-            for shard, summary in sorted(batch.per_shard_latency.items())
+            str(shard): _p99_ms(times) for shard, times in sorted(per_shard_seconds.items())
         },
-        "batch_p99_ms": round(batch.latency.p99_ms, 4),
+        "batch_p99_ms": _p99_ms(seconds),
     }
     _record("per_shard_breakdown/sharded_KDB", payload)
     benchmark.extra_info.update(payload)

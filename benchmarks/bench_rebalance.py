@@ -11,7 +11,7 @@ Persisted machine-readably to ``benchmarks/results/BENCH_rebalance.json``
 (mirrored to the committed repo-root canonical snapshot at the default
 budget).  The *gated* metrics (see ``tools/check_bench.py``) are the
 machine-independent ones: the controller's trigger is driven by decayed
-logical read counts (``latency_gate`` stays off here), so ``n_splits``,
+logical read counts, never by wall-clock time, so ``n_splits``,
 ``final_shards`` and the per-op block-access counts are deterministic
 given the stream — only the raw ``*_ms`` percentiles vary per machine and
 stay informational.  Override the data size with

@@ -136,9 +136,10 @@ times through a :class:`~repro.workloads.VirtualClock`, yielding sojourn
 times that include queueing delay once the offered rate outpaces the
 server.  Percentiles come from seeded reservoir
 :class:`~repro.workloads.PercentileSketch` es and surface as p50/p95/p99
-on snapshots, results (per kind, per tenant, with a Jain fairness index)
-and on every engine :class:`~repro.analytics.QueryResult` (per shard on
-the sharded engine)::
+on snapshots and results (per kind, per tenant, with a Jain fairness
+index).  The engines themselves never time anything: a
+:class:`~repro.analytics.QueryResult` carries answers and block
+accounting only, and whoever calls ``execute`` owns the clock::
 
     from repro.workloads import (
         MultiTenantOracle, ScenarioRunner, generate_tenant_operations,

@@ -227,10 +227,6 @@ class QueryResult:
     values: list = field(default_factory=list)
     #: unified read accounting (None when the index exposes no stats)
     access: AccessSummary | None = None
-    #: per-op latency percentiles for the batch
-    latency: object | None = None
-    #: latency attributed per shard id (sharded engines, point/window only)
-    per_shard_latency: dict | None = None
 
     @property
     def n_ops(self) -> int:

@@ -22,33 +22,7 @@ __all__ = [
     "batch_point_queries",
     "batch_window_queries",
     "batch_knn_queries",
-    "latency_from_durations",
-    "latency_uniform",
 ]
-
-
-def latency_from_durations(durations):
-    """Per-query latency summary of one batch (None for empty batches).
-
-    The summariser lives in :mod:`repro.workloads.latency` and is imported
-    lazily: ``repro.workloads`` imports the engines, which import this
-    module, so a module-level import would be circular.  Both the
-    single-index and the sharded batch engine resolve through here.
-    """
-    if durations is None or len(durations) == 0:
-        return None
-    from repro.workloads.latency import summarize_durations
-
-    return summarize_durations(durations)
-
-
-def latency_uniform(elapsed: float, count: int):
-    """O(1) summary attributing one batch's wall time uniformly per query."""
-    if count <= 0:
-        return None
-    from repro.workloads.latency import LatencySummary
-
-    return LatencySummary.uniform(elapsed, count)
 
 
 @dataclass

@@ -24,16 +24,16 @@ The engine serves any :class:`~repro.baselines.interface.SpatialIndex` and
 dispatches on what the index declares: every :class:`~repro.core.rsmi.RSMI`
 takes the vectorised point path, and windows and aggregates take it too
 unless the index declares exact results (the RSMIa kind).
+
+The engine answers and counts block reads; it never reads the clock.
+Callers that want latency time ``execute`` themselves.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.analytics.ops import QueryRequest, QueryResult
-from repro.core.batch import latency_from_durations, latency_uniform
 from repro.core.rsmi import RSMI, _outward_positions
 from repro.core.window import window_corner_points
 from repro.engine.routing import route_batch
@@ -72,13 +72,6 @@ def _centers(windows) -> np.ndarray:
     return np.asarray(
         [((w.xlo + w.xhi) / 2.0, (w.ylo + w.yhi) / 2.0) for w in windows], dtype=float
     ).reshape(-1, 2)
-
-
-def _timed_batch(fn, batch) -> tuple[list, object]:
-    """Run one vectorised batch; its wall time is attributed uniformly per op."""
-    started = time.perf_counter()
-    results = fn(batch)
-    return results, latency_uniform(time.perf_counter() - started, len(batch))
 
 
 class BatchQueryEngine:
@@ -179,27 +172,25 @@ class BatchQueryEngine:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         stats = self._reset_stats()
         if self._rsmi is not None and points.shape[0] > 0:
-            found, latency = _timed_batch(self._point_batch_vectorized, points)
+            found = self._point_batch_vectorized(points)
         else:
             contains = self.index.contains
 
             def one(row) -> bool:
                 return bool(contains(float(row[0]), float(row[1])))
 
-            found, latency = self._run_fallback(one, list(points), points)
-        return self._result("point", found, stats, latency)
+            found = self._run_fallback(one, list(points), points)
+        return self._result("point", found, stats)
 
     def _run_windows(self, windows) -> QueryResult:
         """Window queries; each result is an ``(m, 2)`` point array in input order."""
         windows = list(windows)
         stats = self._reset_stats()
         if self._vectorizes_windows and windows:
-            results, latency = _timed_batch(self._window_batch_vectorized, windows)
+            results = self._window_batch_vectorized(windows)
         else:
-            results, latency = self._run_fallback(
-                self.index.window_query, windows, _centers(windows)
-            )
-        return self._result("window", results, stats, latency)
+            results = self._run_fallback(self.index.window_query, windows, _centers(windows))
+        return self._result("window", results, stats)
 
     def _run_knn(self, queries: np.ndarray, k: int) -> QueryResult:
         """kNN queries; each result is a ``(k, 2)`` point array in input order.
@@ -216,8 +207,8 @@ class BatchQueryEngine:
         def one(row) -> np.ndarray:
             return knn_query(float(row[0]), float(row[1]), k)
 
-        results, latency = self._run_fallback(one, list(queries), queries)
-        return self._result("knn", results, stats, latency)
+        results = self._run_fallback(one, list(queries), queries)
+        return self._result("knn", results, stats)
 
     # ----------------------------------------------------------------- aggregates --
 
@@ -241,7 +232,7 @@ class BatchQueryEngine:
         specs = list(specs)
         stats = self._reset_stats()
         if self._vectorizes_windows and specs:
-            partials, latency = _timed_batch(self._aggregate_batch_vectorized, specs)
+            partials = self._aggregate_batch_vectorized(specs)
         else:
             # the window scan is whatever the index answers a window query
             # with (exact traversal for RSMIa, node-based traversal for the
@@ -249,10 +240,8 @@ class BatchQueryEngine:
             def one(spec):
                 return spec.fold(spec.new_partial(), self.index.window_query(spec.window))
 
-            partials, latency = self._run_fallback(
-                one, specs, _centers([spec.window for spec in specs])
-            )
-        return self._result("aggregate", partials, stats, latency)
+            partials = self._run_fallback(one, specs, _centers([spec.window for spec in specs]))
+        return self._result("aggregate", partials, stats)
 
     def _aggregate_batch_vectorized(self, specs) -> list:
         """Block-level push-down over the RSMI store.
@@ -419,25 +408,16 @@ class BatchQueryEngine:
 
     # -------------------------------------------------------------- fallback path --
 
-    def _run_fallback(self, fn, items: list, keys: np.ndarray) -> tuple[list, object]:
-        """Answer ``items`` one query at a time; results in input order plus
-        the batch's per-query latency summary.
+    def _run_fallback(self, fn, items: list, keys: np.ndarray) -> list:
+        """Answer ``items`` one query at a time; results in input order.
 
         With ``reorder`` on, the queries run in Hilbert-key order of
         ``keys`` (one row per item) and their results scatter back.
         """
         order = self._batch_order(keys)
-        if order is not None:
-            items = [items[i] for i in order.tolist()]
-        results: list = []
-        durations: list[float] = []
-        for item in items:
-            started = time.perf_counter()
-            results.append(fn(item))
-            durations.append(time.perf_counter() - started)
-        if order is not None:
-            results = _scatter(results, order)
-        return results, latency_from_durations(durations)
+        if order is None:
+            return [fn(item) for item in items]
+        return _scatter([fn(items[i]) for i in order.tolist()], order)
 
     # ------------------------------------------------------------------- plumbing --
 
@@ -454,12 +434,12 @@ class BatchQueryEngine:
         return stats
 
     @staticmethod
-    def _result(kind: str, values: list, stats, latency) -> QueryResult:
+    def _result(kind: str, values: list, stats) -> QueryResult:
         """The request's values plus the reads counted since ``stats`` was reset."""
         access = AccessSummary(
             logical_reads=stats.total_reads, physical_reads=stats.physical_reads
         )
-        return QueryResult(kind=kind, values=values, access=access, latency=latency)
+        return QueryResult(kind=kind, values=values, access=access)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         backing = "vectorized" if self._rsmi is not None else "fallback"

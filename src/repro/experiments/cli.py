@@ -117,9 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-reorder",
         action="store_true",
-        help="execute batched fallback queries in Hilbert-key order (results "
-        "scatter back to input order), so co-located queries share cached "
-        "blocks (applies to --execution batched)",
+        help="run each read micro-batch of a --scenario replay in Hilbert-key "
+        "order (results scatter back to input order), so co-located queries "
+        "share cached blocks; applies under either --execution mode, except "
+        "to the vectorised RSMI paths of --execution batched",
     )
     parser.add_argument(
         "--tenants",

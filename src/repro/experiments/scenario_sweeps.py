@@ -519,12 +519,6 @@ def run_scenario_sweep(
                 f"{index.per_shard_points()}, per-shard read accesses (whole run) "
                 f"{per_shard_reads}"
             )
-            if result.per_shard_service_s:
-                busy = [
-                    round(result.per_shard_service_s.get(shard_id, 0.0) * 1e3, 2)
-                    for shard_id in range(final_shards)
-                ]
-                notes.append(f"{name}: per-shard service time (ms, whole run) {busy}")
         if rebalancer is not None:
             report = rebalancer.report
             notes.append(

@@ -10,8 +10,7 @@ layer into real multi-core serving:
   process rebuilds byte-identical shards;
 * :class:`ParallelShardEngine` — the batch-query surface of
   :class:`~repro.sharding.ShardedBatchEngine` executed on per-shard-group
-  worker processes, with optional read replicas (writes fan out, reads
-  round-robin);
+  worker processes;
 * :class:`FrontDoor` — an asyncio ingress applying per-tenant token-bucket
   admission control, bounded-queue overload shedding and latency-aware
   adaptive batching, usable as a deterministic replayer or as a wall-clock

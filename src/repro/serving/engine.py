@@ -15,10 +15,6 @@ Worker topology
   builds the group's shards in-process from a picklable
   :class:`~repro.serving.spec.ServingSpec` subset (see
   :mod:`repro.serving.worker`).
-* With ``replicas > 1`` each group gets that many identical workers:
-  **reads round-robin** deterministically across a group's replicas, every
-  **write fans out** to all of them (and delete outcomes must agree), so
-  replicas stay bit-identical and a hot shard's read load spreads.
 
 The parent does all routing through its own
 :class:`~repro.sharding.router.ShardRouter` (rebuilt over the spec, so its
@@ -26,19 +22,19 @@ overflow bookkeeping matches a single-threaded index built from the same
 assignment).  Answers are byte-identical to the single-threaded engines —
 the differential fuzz suite (``tests/test_parallel_differential.py``)
 asserts this across index kinds, sharding policies and worker counts.
+Workers reply with answers and per-shard read counts only; the caller
+times the request.
 """
 
 from __future__ import annotations
 
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 import numpy as np
 
 from repro.analytics.ops import QueryRequest, QueryResult
-from repro.core.batch import latency_from_durations, latency_uniform
 from repro.serving import worker as worker_mod
 from repro.serving.spec import ServingSpec
 from repro.sharding.engine import group_by_shard, merge_shard_answers, request_ops, sub_batch
@@ -60,9 +56,6 @@ class ParallelShardEngine:
     n_workers:
         Number of shard groups / worker processes (>= 1; capped at the
         shard count).
-    replicas:
-        Identical workers per group (>= 1); reads round-robin, writes fan
-        out to all.
     mode / reorder:
         Forwarded to every worker's per-shard engines (same semantics as
         :class:`~repro.sharding.ShardedBatchEngine`).
@@ -79,18 +72,14 @@ class ParallelShardEngine:
         self,
         spec: ServingSpec,
         n_workers: int = 2,
-        replicas: int = 1,
         mode: str = "auto",
         reorder: bool = False,
         start_method: Optional[str] = None,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.spec = spec
         self.n_workers = min(int(n_workers), spec.n_shards)
-        self.replicas = int(replicas)
         self.mode = mode
         self.name = spec.name
         #: capability flags, mirroring the sharded index the workers rebuild
@@ -116,27 +105,23 @@ class ParallelShardEngine:
             import multiprocessing
 
             mp_context = multiprocessing.get_context(start_method)
-        self._pools: dict[int, list[ProcessPoolExecutor]] = {}
-        self._rr: dict[int, int] = {group: 0 for group in self._groups}
+        self._pools: dict[int, ProcessPoolExecutor] = {}
         self._closed = False
         self._n_points = spec.n_points
         self._write_logical = 0
         self._write_physical = 0
         try:
-            for group, shard_ids in self._groups.items():
-                self._pools[group] = [
-                    ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
-                    for _ in range(self.replicas)
-                ]
+            for group in self._groups:
+                self._pools[group] = ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
             expected = {
                 shard_id: spec.shard_points.get(shard_id, _EMPTY).shape[0]
                 for shard_id in range(spec.n_shards)
             }
             futures = [
-                (group, pool.submit(worker_mod.worker_init,
-                                    spec.subset(shard_ids), shard_ids, mode, reorder))
+                (group, self._pools[group].submit(
+                    worker_mod.worker_init, spec.subset(shard_ids), shard_ids, mode, reorder
+                ))
                 for group, shard_ids in self._groups.items()
-                for pool in self._pools[group]
             ]
             for group, future in futures:
                 built = future.result()
@@ -172,15 +157,6 @@ class ParallelShardEngine:
 
     # -- dispatch plumbing -------------------------------------------------------
 
-    def _read_pool(self, group: int) -> ProcessPoolExecutor:
-        """The next replica of ``group`` in deterministic round-robin order."""
-        pools = self._pools[group]
-        if len(pools) == 1:
-            return pools[0]
-        slot = self._rr[group]
-        self._rr[group] = (slot + 1) % len(pools)
-        return pools[slot]
-
     @staticmethod
     def _access(per_group_reads) -> AccessSummary:
         """The request's reads, summed over the workers' per-shard deltas."""
@@ -194,35 +170,6 @@ class ParallelShardEngine:
             logical_reads=sum(per_shard.values()),
             physical_reads=physical,
             per_shard_logical_reads=per_shard,
-        )
-
-    def _finalize(
-        self,
-        kind: str,
-        results: list,
-        per_group_reads,
-        group_seconds: dict,
-        group_positions: dict,
-        shard_counts: dict,
-    ) -> QueryResult:
-        per_shard_latency = {}
-        per_query = np.zeros(len(results), dtype=float)
-        for group, seconds in sorted(group_seconds.items()):
-            positions = group_positions.get(group) or []
-            if not positions:
-                continue
-            per_query[positions] += seconds / len(positions)
-            for shard_id, count in sorted(shard_counts.get(group, {}).items()):
-                summary = latency_uniform(seconds * count / len(positions), count)
-                if summary is not None:
-                    per_shard_latency[shard_id] = summary
-        latency = latency_from_durations(per_query) if per_shard_latency else None
-        return QueryResult(
-            kind=kind,
-            values=results,
-            access=self._access(per_group_reads),
-            latency=latency,
-            per_shard_latency=per_shard_latency or None,
         )
 
     # -- queries -----------------------------------------------------------------
@@ -244,28 +191,23 @@ class ParallelShardEngine:
         ops = request_ops(request)
         by_shard = group_by_shard(self.router, kind, ops)
         payloads: dict[int, dict] = {}
-        group_positions: dict[int, list] = {}
-        shard_counts: dict[int, dict] = {}
         for shard_id, indices in by_shard.items():
             group = shard_id % self.n_workers
             payloads.setdefault(group, {})[shard_id] = sub_batch(kind, ops, indices)
-            group_positions.setdefault(group, []).extend(indices)
-            shard_counts.setdefault(group, {})[shard_id] = len(indices)
         futures = {
-            group: self._read_pool(group).submit(worker_mod.worker_read, kind, payload)
+            group: self._pools[group].submit(worker_mod.worker_read, kind, payload)
             for group, payload in sorted(payloads.items())
         }
         answers: dict[int, list] = {}
         per_group_reads = []
-        group_seconds = {}
         for group, future in sorted(futures.items()):
-            shard_answers, reads, seconds = future.result()
+            shard_answers, reads = future.result()
             answers.update(shard_answers)
             per_group_reads.append(reads)
-            group_seconds[group] = seconds
-        results = merge_shard_answers(kind, ops, by_shard, answers)
-        return self._finalize(
-            kind, results, per_group_reads, group_seconds, group_positions, shard_counts
+        return QueryResult(
+            kind=kind,
+            values=merge_shard_answers(kind, ops, by_shard, answers),
+            access=self._access(per_group_reads),
         )
 
     def _run_knn(self, queries: np.ndarray, k: int) -> QueryResult:
@@ -281,15 +223,14 @@ class ParallelShardEngine:
         queries = np.asarray(queries, dtype=float).reshape(-1, 2)
         if queries.shape[0] == 0:
             return QueryResult(kind="knn", values=[], access=self._access([]))
-        started = time.perf_counter()
         futures = {
-            group: self._read_pool(group).submit(worker_mod.worker_knn, queries, k)
+            group: self._pools[group].submit(worker_mod.worker_knn, queries, k)
             for group in sorted(self._groups)
         }
         merged: list[list] = [[] for _ in range(queries.shape[0])]
         per_group_reads = []
         for _group, future in sorted(futures.items()):
-            candidates, reads, _seconds = future.result()
+            candidates, reads = future.result()
             per_group_reads.append(reads)
             for query_index, best in enumerate(candidates):
                 merged[query_index].extend(best)
@@ -304,45 +245,30 @@ class ParallelShardEngine:
             kind="knn",
             values=results,
             access=self._access(per_group_reads),
-            latency=latency_uniform(time.perf_counter() - started, queries.shape[0]),
         )
 
     # -- writes ------------------------------------------------------------------
 
     def insert(self, x: float, y: float) -> None:
-        """Insert through the owning shard's worker (all replicas)."""
+        """Insert through the owning shard's worker."""
         x, y = float(x), float(y)
         shard_id = self.router.record_insert(x, y)
-        group = shard_id % self.n_workers
-        futures = [
-            pool.submit(worker_mod.worker_insert, shard_id, x, y)
-            for pool in self._pools[group]
-        ]
-        deltas = [future.result() for future in futures]
-        # replicas duplicate the work; bill one replica's reads so the
-        # accounting matches a single-threaded index applying this write once
-        self._write_logical += deltas[0][0]
-        self._write_physical += deltas[0][1]
+        logical, physical = self._pools[shard_id % self.n_workers].submit(
+            worker_mod.worker_insert, shard_id, x, y
+        ).result()
+        self._write_logical += logical
+        self._write_physical += physical
         self._n_points += 1
 
     def delete(self, x: float, y: float) -> bool:
-        """Delete through the owning shard's worker (all replicas agree)."""
+        """Delete through the owning shard's worker."""
         x, y = float(x), float(y)
         shard_id = self.router.shard_for_point(x, y)
-        group = shard_id % self.n_workers
-        futures = [
-            pool.submit(worker_mod.worker_delete, shard_id, x, y)
-            for pool in self._pools[group]
-        ]
-        outcomes = [future.result() for future in futures]
-        removed = outcomes[0][0]
-        if any(other != removed for other, _ in outcomes[1:]):
-            raise RuntimeError(
-                f"replica divergence: delete({x}, {y}) outcomes "
-                f"{[other for other, _ in outcomes]}"
-            )
-        self._write_logical += outcomes[0][1][0]
-        self._write_physical += outcomes[0][1][1]
+        removed, (logical, physical) = self._pools[shard_id % self.n_workers].submit(
+            worker_mod.worker_delete, shard_id, x, y
+        ).result()
+        self._write_logical += logical
+        self._write_physical += physical
         if removed:
             self._n_points -= 1
         return removed
@@ -363,16 +289,15 @@ class ParallelShardEngine:
 
     @property
     def n_processes(self) -> int:
-        return sum(len(pools) for pools in self._pools.values())
+        return len(self._pools)
 
     def close(self) -> None:
         """Shut every worker pool down (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for pools in self._pools.values():
-            for pool in pools:
-                pool.shutdown(wait=True, cancel_futures=True)
+        for pool in self._pools.values():
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "ParallelShardEngine":
         return self
@@ -383,5 +308,5 @@ class ParallelShardEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ParallelShardEngine(name={self.name!r}, shards={self.spec.n_shards}, "
-            f"workers={self.n_workers}, replicas={self.replicas})"
+            f"workers={self.n_workers})"
         )

@@ -12,9 +12,10 @@ pool object ever crosses the process boundary), plus a
 
 The parent does all routing; tasks arrive already grouped per shard.  Every
 task resets the touched shards' :class:`~repro.storage.AccessStats` on
-entry and returns ``{shard_id: (logical, physical)}`` read deltas plus its
-own wall time, so the parent can aggregate block accounting and latency
-exactly like the single-process engines do.
+entry and returns ``{shard_id: (logical, physical)}`` read deltas, so the
+parent can aggregate block accounting exactly like the single-process
+engines do.  Workers do not time their tasks: whoever calls the parallel
+engine times the request end to end.
 
 Answers are byte-identical to the single-threaded engine because the shard
 structures are byte-identical (see :meth:`ShardedSpatialIndex
@@ -25,7 +26,6 @@ structures are byte-identical (see :meth:`ShardedSpatialIndex
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -88,7 +88,7 @@ def worker_read(kind: str, groups: dict):
     ``{shard_id: ops}`` with ops a ``(n, 2)`` query array, a list of
     :class:`~repro.geometry.Rect` or a list of ``AggregateSpec``.
 
-    Returns ``(answers, reads, seconds)`` with ``answers[shard_id]`` the
+    Returns ``(answers, reads)`` with ``answers[shard_id]`` the
     shard's per-op answers in input order (see
     :meth:`ShardedBatchEngine.run_shard`).  Aggregates come back as
     **unfinalised** picklable partials: this is where the parallel tier's
@@ -98,19 +98,17 @@ def worker_read(kind: str, groups: dict):
     single-process sharded engine merges across shards.
     """
     state = _state()
-    started = time.perf_counter()
     answers = {
         shard_id: state.engine.run_shard(shard_id, kind, groups[shard_id])
         for shard_id in sorted(groups)
     }
-    reads = state.reads_since_reset(sorted(groups))
-    return answers, reads, time.perf_counter() - started
+    return answers, state.reads_since_reset(sorted(groups))
 
 
 def worker_knn(queries: np.ndarray, k: int):
     """Local top-k over this worker's owned shards, for every query.
 
-    Returns ``(candidates, reads, seconds)`` where ``candidates[i]`` is a
+    Returns ``(candidates, reads)`` where ``candidates[i]`` is a
     list of at most ``k * n_owned_shards`` ``(distance, px, py)`` tuples;
     the parent merges the workers' candidate lists with the same
     ``sort(); del [k:]`` the single-threaded best-first expansion uses, so
@@ -118,7 +116,6 @@ def worker_knn(queries: np.ndarray, k: int):
     skipped can only contribute strictly farther candidates).
     """
     state = _state()
-    started = time.perf_counter()
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
     for shard_id in state.shard_ids:
         state.index.shards[shard_id].stats.reset()
@@ -136,8 +133,7 @@ def worker_knn(queries: np.ndarray, k: int):
         best.sort()
         del best[k:]
         candidates.append(best)
-    reads = state.reads_since_reset(state.shard_ids)
-    return candidates, reads, time.perf_counter() - started
+    return candidates, state.reads_since_reset(state.shard_ids)
 
 
 # -- writes --------------------------------------------------------------------

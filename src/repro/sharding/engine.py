@@ -11,7 +11,8 @@ Results are scattered back into input order and the per-shard
 :class:`~repro.storage.AccessStats` totals are aggregated onto the returned
 :class:`~repro.analytics.ops.QueryResult` — both as a batch total and per
 shard id, so shard-locality claims ("this window batch only touched two
-shards") stay checkable.
+shards") stay checkable.  Like the single-index engine it never times a
+request; latency belongs to the caller.
 
 The grouping (:func:`group_by_shard`, :func:`sub_batch`) and the shard-id
 order merge (:func:`merge_shard_answers`) are module functions because the
@@ -22,12 +23,9 @@ batches the same way; its workers answer each sub-batch through
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.analytics.ops import QueryRequest, QueryResult
-from repro.core.batch import latency_from_durations, latency_uniform
 from repro.engine import BatchQueryEngine, ENGINE_MODES
 from repro.sharding.index import ShardedSpatialIndex
 from repro.storage.stats import AccessSummary
@@ -190,16 +188,11 @@ class ShardedBatchEngine:
         kind = request.kind
         ops = request_ops(request)
         by_shard = group_by_shard(self.index.router, kind, ops)
-        answers: dict[int, list] = {}
-        timings: dict[int, float] = {}
-        for shard_id in sorted(by_shard):
-            started = time.perf_counter()
-            answers[shard_id] = self.run_shard(
-                shard_id, kind, sub_batch(kind, ops, by_shard[shard_id])
-            )
-            timings[shard_id] = time.perf_counter() - started
-        results = merge_shard_answers(kind, ops, by_shard, answers)
-        return self._finalize(kind, results, timings=timings, shard_positions=by_shard)
+        answers = {
+            shard_id: self.run_shard(shard_id, kind, sub_batch(kind, ops, by_shard[shard_id]))
+            for shard_id in sorted(by_shard)
+        }
+        return self._finalize(kind, merge_shard_answers(kind, ops, by_shard, answers))
 
     def run_shard(self, shard_id: int, kind: str, ops) -> list:
         """One shard's answers to its sub-batch of ``kind`` ops, in op order.
@@ -237,15 +230,8 @@ class ShardedBatchEngine:
     def _run_knn(self, queries: np.ndarray, k: int) -> QueryResult:
         """kNN queries via the index's best-first shard expansion per query."""
         queries = np.asarray(queries, dtype=float).reshape(-1, 2)
-        results = []
-        durations: list[float] = []
-        for row in queries:
-            started = time.perf_counter()
-            results.append(self.index.knn_query(float(row[0]), float(row[1]), k))
-            durations.append(time.perf_counter() - started)
-        # a kNN query's best-first expansion crosses shards, so latency is
-        # attributed per query only, never per shard
-        return self._finalize("knn", results, durations=durations)
+        knn_query = self.index.knn_query
+        return self._finalize("knn", [knn_query(x, y, k) for x, y in queries.tolist()])
 
     # ------------------------------------------------------------------ plumbing --
 
@@ -260,49 +246,19 @@ class ShardedBatchEngine:
         self._engines[shard_id] = (id(shard.index), engine)
         return engine
 
-    def _finalize(
-        self,
-        kind: str,
-        results: list,
-        timings: dict[int, float] | None = None,
-        shard_positions: dict[int, list[int]] | None = None,
-        durations: list[float] | None = None,
-    ) -> QueryResult:
+    def _finalize(self, kind: str, results: list) -> QueryResult:
+        """The merged values plus every shard's reads since its last reset."""
         per_shard = {
             shard.shard_id: shard.stats.total_reads
             for shard in self.index.shards
             if shard.stats.total_reads > 0
         }
-        per_shard_latency = None
-        latency = latency_from_durations(durations)
-        if timings is not None and shard_positions is not None:
-            # each shard's sub-batch wall time, attributed uniformly across
-            # the sub-batch's queries (mirrors the vectorised engine path);
-            # the batch summary is per *query*: a window spanning several
-            # shards accumulates its share from each, so count == n queries
-            per_shard_latency = {}
-            per_query = np.zeros(len(results), dtype=float)
-            for shard_id, elapsed in sorted(timings.items()):
-                positions = shard_positions.get(shard_id) or []
-                summary = latency_uniform(elapsed, len(positions))
-                if summary is None:
-                    continue
-                per_shard_latency[shard_id] = summary
-                per_query[positions] += elapsed / len(positions)
-            if per_shard_latency:
-                latency = latency_from_durations(per_query)
         access = AccessSummary(
             logical_reads=sum(per_shard.values()),
             physical_reads=sum(shard.stats.physical_reads for shard in self.index.shards),
             per_shard_logical_reads=per_shard,
         )
-        return QueryResult(
-            kind=kind,
-            values=results,
-            access=access,
-            latency=latency,
-            per_shard_latency=per_shard_latency or None,
-        )
+        return QueryResult(kind=kind, values=results, access=access)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,10 +2,9 @@
 
 Static partitioning has a failure mode the learned index cannot fix on its
 own: when the workload drifts, one shard ends up serving almost all of the
-traffic and tail latency degrades to whatever that hot shard can do.  The
-measurement side has existed since the latency-serving PR — per-shard
-:class:`~repro.storage.AccessStats` and per-shard latency sketches — but
-nothing acted on it.  This module closes the loop:
+traffic and tail latency degrades to whatever that hot shard can do.
+Per-shard :class:`~repro.storage.AccessStats` measure where the reads go;
+this module acts on them:
 
 * :class:`AdaptiveShardingPolicy` wraps any base
   :class:`~repro.sharding.policy.ShardingPolicy` and lets shard regions be
@@ -20,10 +19,9 @@ nothing acted on it.  This module closes the loop:
   policy, shard list, router bookkeeping, caches, disk mirrors — happens
   atomically inside one :meth:`step` call.
 * :class:`RebalanceController` is the policy loop: it decays per-shard
-  access counters, keeps a per-shard p99 sketch, starts a split when one
-  shard's share of recent accesses crosses ``split_threshold`` (optionally
-  also requiring its p99 to exceed the fleet median), merges sibling shards
-  whose combined share has gone cold, and resizes per-shard
+  access counters, starts a split when one shard's share of recent
+  accesses crosses ``split_threshold``, merges sibling shards whose
+  combined share has gone cold, and resizes per-shard
   :class:`~repro.storage.PageCache` / pool-client budgets proportionally to
   observed heat.
 
@@ -463,10 +461,9 @@ class MergeMigration(_Migration):
 class RebalanceConfig:
     """Tuning knobs for :class:`RebalanceController`.
 
-    The split trigger is deliberately driven by *access shares* (decayed
-    per-shard read counters), which are deterministic given the stream;
-    the per-shard p99 sketches gate the trigger only when
-    ``latency_gate`` is on, since wall-clock latencies vary by machine.
+    The split trigger is driven by *access shares* (decayed per-shard read
+    and write heat), which are deterministic given the stream; wall-clock
+    latencies vary by machine and play no part in any decision.
     """
 
     #: split the hottest shard when its share of recent accesses reaches this
@@ -494,9 +491,6 @@ class RebalanceConfig:
     write_heat: float = 4.0
     #: per-tick multiplicative decay of the heat counters (recency window)
     decay: float = 0.85
-    #: also require the hot shard's p99 to exceed ``p99_factor`` × fleet median
-    latency_gate: bool = False
-    p99_factor: float = 1.2
     #: move PageCache / pool-client budgets toward hot shards every tick
     resize_budgets: bool = True
     min_budget_blocks: int = 2
@@ -529,11 +523,11 @@ class RebalanceReport:
 
 
 class RebalanceController:
-    """The closed loop: observe per-shard heat/latency, act via migrations.
+    """The closed loop: observe per-shard heat, act via migrations.
 
     Wire-up: construct over a built :class:`ShardedSpatialIndex` (its policy
     is wrapped in an :class:`AdaptiveShardingPolicy` if it isn't already),
-    feed it per-batch per-shard read counts and latency summaries through
+    feed it per-batch per-shard read counts through
     :meth:`observe` (the scenario runner does this from its accounting
     hook), and call :meth:`tick` between operations.  Each tick advances an
     in-flight migration by one stage or — when idle, warmed up and out of
@@ -547,7 +541,6 @@ class RebalanceController:
         self.config = config if config is not None else RebalanceConfig()
         self.report = RebalanceReport()
         self._heat: dict[int, float] = {}
-        self._sketches: dict[int, object] = {}
         self._migration: Optional[_Migration] = None
         self._cooldown = 0
         self._initial_shards = index.n_shards
@@ -561,41 +554,18 @@ class RebalanceController:
     def migration_in_flight(self) -> bool:
         return self._migration is not None
 
-    def observe(self, per_shard_reads: Optional[dict] = None,
-                per_shard_latency: Optional[dict] = None) -> None:
-        """Fold one batch's per-shard read counts and latency summaries in."""
+    def observe(self, per_shard_reads: Optional[dict] = None) -> None:
+        """Fold one batch's per-shard read counts in."""
         if self._migration is not None:
             self.report.mid_migration_batches += 1
         for shard_id, reads in (per_shard_reads or {}).items():
             if reads:
                 self._heat[shard_id] = self._heat.get(shard_id, 0.0) + float(reads)
-        if per_shard_latency:
-            # deferred import: repro.workloads imports repro.sharding at
-            # package-init time, so the reverse import must wait until runtime
-            from repro.workloads.latency import PercentileSketch
-
-            for shard_id, summary in per_shard_latency.items():
-                p99 = getattr(summary, "p99_ms", None)
-                if p99 is None and isinstance(summary, dict):
-                    p99 = summary.get("p99_ms")
-                if p99 is None:
-                    continue
-                sketch = self._sketches.get(shard_id)
-                if sketch is None:
-                    sketch = self._sketches[shard_id] = PercentileSketch()
-                sketch.add(float(p99))
 
     def observe_write(self, x: float, y: float) -> None:
         """Credit one write's heat to the shard owning ``(x, y)``."""
         shard_id = self.index.router.shard_for_point(float(x), float(y))
         self._heat[shard_id] = self._heat.get(shard_id, 0.0) + self.config.write_heat
-
-    def shard_p99(self, shard_id: int) -> Optional[float]:
-        """The shard's p99-of-batch-p99s estimate (None before any sample)."""
-        sketch = self._sketches.get(shard_id)
-        if sketch is None or getattr(sketch, "count", 0) == 0:
-            return None
-        return float(sketch.quantile(0.99))
 
     # -- the control loop ------------------------------------------------------
 
@@ -674,7 +644,6 @@ class RebalanceController:
 
     def _forget(self, shard_id: int) -> None:
         self._heat.pop(shard_id, None)
-        self._sketches.pop(shard_id, None)
 
     def _decay(self) -> None:
         decay = self.config.decay
@@ -698,7 +667,6 @@ class RebalanceController:
             and hot_id < index.n_shards
             and index.shards[hot_id].n_points >= config.min_split_points
             and self._region_clear(hot_id)
-            and self._latency_gate_passes(hot_id)
         ):
             self._migration = SplitMigration(index, hot_id)
             return "split-started"
@@ -714,21 +682,6 @@ class RebalanceController:
                     self._migration = MergeMigration(index, a, b)
                     return "merge-started"
         return None
-
-    def _latency_gate_passes(self, hot_id: int) -> bool:
-        if not self.config.latency_gate:
-            return True
-        hot_p99 = self.shard_p99(hot_id)
-        if hot_p99 is None:
-            return False
-        others = [
-            p99
-            for shard_id in range(self.index.n_shards)
-            if shard_id != hot_id and (p99 := self.shard_p99(shard_id)) is not None
-        ]
-        if not others:
-            return True
-        return hot_p99 >= self.config.p99_factor * float(np.median(others))
 
     # -- budget resizing -------------------------------------------------------
 

@@ -34,7 +34,6 @@ from repro.workloads.latency import (
     PercentileSketch,
     VirtualClock,
     jains_fairness_index,
-    summarize_durations,
 )
 from repro.workloads.oracle import OracleIndex
 from repro.workloads.rebalance import (
@@ -92,7 +91,6 @@ __all__ = [
     "LatencyRecorder",
     "VirtualClock",
     "jains_fairness_index",
-    "summarize_durations",
     "MultiTenantOracle",
     "derive_tenant_specs",
     "generate_tenant_operations",

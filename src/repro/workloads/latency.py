@@ -38,7 +38,6 @@ __all__ = [
     "VirtualClock",
     "LatencyRecorder",
     "jains_fairness_index",
-    "summarize_durations",
 ]
 
 #: default reservoir capacity; 4096 samples bound the p99 rank error to ~0.2%
@@ -128,26 +127,6 @@ class LatencySummary:
             max_ms=sketch.maximum * 1e3,
         )
 
-    @classmethod
-    def uniform(cls, total_seconds: float, count: int) -> Optional["LatencySummary"]:
-        """The summary of ``count`` operations sharing one batch's wall time.
-
-        Vectorised batch paths cannot observe per-query times; attributing
-        the batch uniformly makes every percentile the per-op mean.  O(1),
-        so the hot batch paths pay no summarisation cost.
-        """
-        if count <= 0:
-            return None
-        per_op_ms = (total_seconds / count) * 1e3
-        return cls(
-            count=count,
-            mean_ms=per_op_ms,
-            p50_ms=per_op_ms,
-            p95_ms=per_op_ms,
-            p99_ms=per_op_ms,
-            max_ms=per_op_ms,
-        )
-
     def as_dict(self) -> dict:
         """Rounded machine-readable form (for BENCH_*.json payloads)."""
         return {
@@ -158,32 +137,6 @@ class LatencySummary:
             "p99_ms": round(self.p99_ms, 4),
             "max_ms": round(self.max_ms, 4),
         }
-
-
-def summarize_durations(durations: Iterable[float], seed: int = 0) -> Optional[LatencySummary]:
-    """Summarise a finished collection of wall-clock durations (seconds).
-
-    Exact (one vectorised ``np.quantile``) while the collection fits the
-    default reservoir capacity — which covers every engine batch — and
-    reservoir-sampled beyond it, keeping the per-batch cost O(capacity).
-    """
-    values = np.asarray(list(durations) if not isinstance(durations, np.ndarray) else durations,
-                        dtype=float)
-    if values.size == 0:
-        return None
-    if values.size > DEFAULT_SKETCH_CAPACITY:
-        sketch = PercentileSketch(seed=seed)
-        sketch.extend(values)
-        return LatencySummary.from_sketch(sketch)
-    p50, p95, p99 = np.quantile(values, (0.50, 0.95, 0.99))
-    return LatencySummary(
-        count=int(values.size),
-        mean_ms=float(values.mean()) * 1e3,
-        p50_ms=float(p50) * 1e3,
-        p95_ms=float(p95) * 1e3,
-        p99_ms=float(p99) * 1e3,
-        max_ms=float(values.max()) * 1e3,
-    )
 
 
 class VirtualClock:

@@ -137,9 +137,6 @@ class ScenarioResult:
     #: Jain's fairness index over per-tenant mean sojourns (None unless the
     #: stream interleaved >= 2 tenants)
     fairness: Optional[float] = None
-    #: measured service seconds attributed per shard over the whole run
-    #: (sharded indices only)
-    per_shard_service_s: Optional[dict[int, float]] = None
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -202,7 +199,7 @@ class ScenarioRunner:
     rebalancer:
         Optional :class:`~repro.sharding.RebalanceController` over the
         (inner) sharded index.  The runner feeds it every batch's per-shard
-        access counts and latency summaries and ticks it after each flush
+        access counts and ticks it after each flush
         and each write, so shard migrations interleave with the stream —
         reads race the swap, writes land in splitting shards — while the
         oracle checks keep asserting answer identity.
@@ -283,7 +280,6 @@ class ScenarioRunner:
         total_physical = 0
         pending: list[Operation] = []
         self._per_shard_reads: dict[int, int] = {}
-        self._per_shard_service: dict[int, float] = {}
         self._clock = VirtualClock()
         self._latency = LatencyRecorder(seed=self.spec.seed)
         interval = _IntervalAccumulator(seed=self.spec.seed)
@@ -332,11 +328,6 @@ class ScenarioRunner:
             latency_by_kind=self._latency.by_kind(),
             latency_by_tenant=self._latency.by_tenant(),
             fairness=self._latency.fairness(),
-            per_shard_service_s=(
-                {shard: round(total, 6) for shard, total in self._per_shard_service.items()}
-                if self._per_shard_service
-                else None
-            ),
         )
 
     # -- batched reads --------------------------------------------------------
@@ -428,17 +419,12 @@ class ScenarioRunner:
         access = result.access
         per_shard = access.per_shard_logical_reads if access is not None else None
         if self._rebalancer is not None:
-            self._rebalancer.observe(per_shard, result.per_shard_latency)
+            self._rebalancer.observe(per_shard)
         if per_shard:
             for shard_id, reads in per_shard.items():
                 self._per_shard_reads[shard_id] = (
                     self._per_shard_reads.get(shard_id, 0) + reads
                 )
-        if result.per_shard_latency:
-            for shard_id, summary in result.per_shard_latency.items():
-                self._per_shard_service[shard_id] = self._per_shard_service.get(
-                    shard_id, 0.0
-                ) + (summary.mean_ms / 1e3) * summary.count
         logical = (access.logical_reads if access is not None else None) or 0
         interval.block_accesses += logical
         physical = access.physical_reads if access is not None else None

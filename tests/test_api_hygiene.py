@@ -131,3 +131,21 @@ class TestIndexProtocol:
     def test_dispatch_layers_have_no_attribute_probes(self, relative):
         source = (SRC / relative).read_text()
         assert not re.findall(r"\b(?:has|get)attr\(", source), relative
+
+
+class TestEnginesDoNotTime:
+    """Engines return answers plus block accounting; callers own the clock."""
+
+    @pytest.mark.parametrize(
+        "relative",
+        ["engine/engine.py", "sharding/engine.py", "serving/engine.py", "serving/worker.py"],
+    )
+    def test_engine_modules_never_read_the_clock(self, relative):
+        assert "perf_counter" not in (SRC / relative).read_text(), relative
+
+    def test_query_result_carries_answers_and_accounting_only(self):
+        from dataclasses import fields
+
+        from repro.analytics import QueryResult
+
+        assert [field.name for field in fields(QueryResult)] == ["kind", "values", "access"]

@@ -10,11 +10,8 @@ agreement intact.
 import numpy as np
 import pytest
 
-from repro.analytics import QueryRequest
 from repro.baselines import GridFile, KDBTree
-from repro.engine import BatchQueryEngine
 from repro.geometry import Rect
-from repro.sharding import ShardedBatchEngine, ShardedSpatialIndex, shard_index_factory
 from repro.workloads import (
     LatencyRecorder,
     LatencySummary,
@@ -235,6 +232,15 @@ class TestRunnerLatency:
             result.service_latency.p99_ms, rel=1e-6
         )
 
+    def test_latency_recorder_split(self):
+        recorder = LatencyRecorder()
+        recorder.record("point", 0, 0.001, 0.002)
+        recorder.record("window", 1, 0.003, 0.004)
+        assert recorder.sojourn_summary().count == 2
+        assert set(recorder.by_kind()) == {"point", "window"}
+        assert set(recorder.by_tenant()) == {0, 1}
+        assert recorder.fairness() is not None
+
 
 # -- multi-tenant streams ------------------------------------------------------
 
@@ -315,61 +321,3 @@ class TestMultiTenantStreams:
         assert jains_fairness_index([1.0, 0.0, 0.0]) == pytest.approx(1 / 3)
         with pytest.raises(ValueError):
             jains_fairness_index([])
-
-
-# -- engine latency surfaces ---------------------------------------------------
-
-
-class TestEngineLatency:
-    def test_batch_result_latency_populated(self):
-        points = _points(400, seed=40)
-        index = KDBTree(block_capacity=16).build(points)
-        engine = BatchQueryEngine(index)
-        batch = engine.execute(QueryRequest.for_points(points[:100]))
-        assert batch.latency is not None and batch.latency.count == 100
-        windows = [Rect(0.1, 0.1, 0.4, 0.4), Rect(0.5, 0.5, 0.9, 0.9)]
-        assert engine.execute(QueryRequest.for_windows(windows)).latency.count == 2
-        assert engine.execute(QueryRequest.for_knn(points[:10], k=3)).latency.count == 10
-        assert engine.execute(QueryRequest.for_points(np.empty((0, 2)))).latency is None
-
-    def test_sharded_batches_attribute_latency_per_shard(self):
-        points = _points(600, seed=41)
-        factory = shard_index_factory("KDB", block_capacity=16)
-        index = ShardedSpatialIndex(factory, n_shards=4, policy="grid").build(points)
-        engine = ShardedBatchEngine(index)
-        batch = engine.execute(QueryRequest.for_points(points[:200]))
-        assert batch.latency is not None and batch.latency.count == 200
-        assert batch.per_shard_latency
-        assert set(batch.per_shard_latency) <= set(range(4))
-        assert sum(s.count for s in batch.per_shard_latency.values()) == 200
-        # kNN crosses shards per query: per-query latency only
-        knn = engine.execute(QueryRequest.for_knn(points[:5], k=3))
-        assert knn.latency is not None and knn.latency.count == 5
-        assert knn.per_shard_latency is None
-
-    def test_spanning_windows_count_once_in_batch_latency(self):
-        """A window spanning all shards is one query: its latency is the sum
-        of its per-shard shares, not several per-shard observations."""
-        points = _points(600, seed=42)
-        factory = shard_index_factory("KDB", block_capacity=16)
-        index = ShardedSpatialIndex(factory, n_shards=4, policy="grid").build(points)
-        engine = ShardedBatchEngine(index)
-        windows = [Rect(0.05, 0.05, 0.95, 0.95) for _ in range(10)]  # span all 4
-        batch = engine.execute(QueryRequest.for_windows(windows))
-        assert batch.latency.count == 10
-        # every shard served all 10 windows
-        assert {s.count for s in batch.per_shard_latency.values()} == {10}
-        # each window's latency accumulates its share from all four shards,
-        # so the batch mean exceeds any single shard's per-op mean
-        assert batch.latency.mean_ms > max(
-            s.mean_ms for s in batch.per_shard_latency.values()
-        )
-
-    def test_latency_recorder_split(self):
-        recorder = LatencyRecorder()
-        recorder.record("point", 0, 0.001, 0.002)
-        recorder.record("window", 1, 0.003, 0.004)
-        assert recorder.sojourn_summary().count == 2
-        assert set(recorder.by_kind()) == {"point", "window"}
-        assert set(recorder.by_tenant()) == {0, 1}
-        assert recorder.fairness() is not None

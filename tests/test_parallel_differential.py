@@ -5,8 +5,8 @@ worker processes; nothing about the move may change an answer.  These tests
 compare whole query batches byte-for-byte against the single-process
 :class:`~repro.sharding.ShardedBatchEngine` built from the *same*
 :class:`~repro.serving.ServingSpec`, across exact index kinds x sharding
-policies x worker counts, over rebalanced (split/merged) topologies, with
-read replicas, and through full scenario replays with the oracle shadow
+policies x worker counts, over rebalanced (split/merged) topologies, and
+through full scenario replays with the oracle shadow
 attached — including streams filtered by token-bucket admission.
 
 Read accounting matches exactly for point and window batches (each worker
@@ -141,27 +141,6 @@ def test_writes_fan_out_and_are_billed():
         assert_identical(engine, ShardedBatchEngine(index), points, seed=13)
 
 
-def test_replicated_reads_see_every_write():
-    """Writes fan out to every replica: round-robin reads never miss one."""
-    spec, points = build_spec("Grid", n_points=250)
-    index = spec.build_index()
-    rng = np.random.default_rng(17)
-    with ParallelShardEngine(spec, n_workers=2, replicas=2) as engine:
-        assert engine.n_processes == 4
-        for x, y in rng.random((30, 2)):
-            engine.insert(float(x), float(y))
-            index.insert(float(x), float(y))
-        queries = np.asarray(
-            [[float(x), float(y)] for x, y in rng.random((8, 2))]
-            + index.window_query(Rect.unit())[:12].tolist()
-        )
-        reference = ShardedBatchEngine(index)
-        # issue the same batch repeatedly so both replicas of each group serve
-        for _ in range(4):
-            got = engine.execute(QueryRequest.for_points(queries))
-            assert got.values == reference.execute(QueryRequest.for_points(queries)).values
-
-
 def test_rebalanced_topology_served_identically():
     """A split/merged (adaptive-policy) index snapshots into the pool exactly."""
     spec, points = build_spec("Grid", n_shards=4)
@@ -178,7 +157,6 @@ def test_rebalanced_topology_served_identically():
             cooldown_ticks=1,
             min_split_points=32,
             min_observations=64,
-            latency_gate=False,
         ),
     )
     rng = np.random.default_rng(19)

@@ -286,21 +286,6 @@ class TestControllerTriggers:
         assert controller.report.n_merges >= 1
         assert index.n_shards == 4
 
-    def test_latency_gate_blocks_balanced_shards(self):
-        class _Summary:
-            def __init__(self, p99_ms):
-                self.p99_ms = p99_ms
-
-        _, controller = self._controller(latency_gate=True, p99_factor=2.0)
-        for _ in range(8):
-            controller.observe(
-                per_shard_reads={0: 60, 1: 20, 2: 20, 3: 20},
-                per_shard_latency={i: _Summary(1.0) for i in range(4)},
-            )
-            action = controller.tick()
-            assert action is None  # hot by reads, but p99 is flat: no split
-        assert controller.report.n_splits == 0
-
     def test_budget_resize_follows_heat(self):
         index, controller = self._controller(split_threshold=2.0)  # never split
         index.attach_shared_pool(SharedBufferPool(40))

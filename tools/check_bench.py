@@ -93,7 +93,7 @@ HIGHER_IS_BETTER = {
     "scan_advantage": 0.30,
     "drift_advantage": 0.20,
     # rebalancing claims (deterministic: the controller's trigger is decayed
-    # logical read counts, latency_gate off — only code changes move these)
+    # logical read counts, never wall-clock time — only code changes move these)
     "blocks_advantage": 0.10,
     "n_splits": 0.50,
     # push-down aggregates: blocks touched vs a full scan per aggregate
