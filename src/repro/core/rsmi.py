@@ -119,7 +119,6 @@ class RSMI(SpatialIndex):
         self.pmf_x: Optional[PiecewiseMappingFunction] = None
         self.pmf_y: Optional[PiecewiseMappingFunction] = None
         self._n_points = 0
-        self._build_input: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ build --
 
@@ -136,7 +135,6 @@ class RSMI(SpatialIndex):
         self.pmf_x = PiecewiseMappingFunction(points[:, 0], self.config.pmf_partitions)
         self.pmf_y = PiecewiseMappingFunction(points[:, 1], self.config.pmf_partitions)
         self._n_points = points.shape[0]
-        self._build_input = points
         return self
 
     def rebuild(self) -> "RSMI":
@@ -415,14 +413,13 @@ class RSMI(SpatialIndex):
     def average_depth(self, sample: Optional[np.ndarray] = None) -> float:
         """Average number of sub-models invoked to reach a data block.
 
-        When ``sample`` is None the build input (or a subsample of it) is
-        used, matching how the paper reports average depth.
+        When ``sample`` is None the stored points are used (every k-th
+        one, about 2000 in all, when there are more), matching how the
+        paper reports average depth over the indexed data.
         """
         self._require_built()
         if sample is None:
-            if self._build_input is None:
-                raise RuntimeError("no build input retained; pass an explicit sample")
-            sample = self._build_input
+            sample = self.store.all_points()
             if sample.shape[0] > 2000:
                 step = sample.shape[0] // 2000
                 sample = sample[::step]

@@ -63,6 +63,9 @@ class MLPRegressor:
             )
             previous = size
         self.layers.append(DenseLayer(previous, 1, activation=Identity(), rng=rng))
+        # flat (parameters, gradients) vectors the layers' arrays view while
+        # training; see _flat_training_state
+        self._flat: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- inference -------------------------------------------------------------
 
@@ -109,11 +112,11 @@ class MLPRegressor:
         loss = loss if loss is not None else MeanSquaredError()
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float).reshape(-1, 1)
+        parameters, gradients = self._flat_training_state()
         predictions = self._forward(inputs, remember=True)
-        batch_loss = loss.value(predictions, targets)
-        grad = loss.gradient(predictions, targets)
+        batch_loss, grad = loss.value_and_gradient(predictions, targets)
         self._backward(grad)
-        optimizer.step(self.parameters(), self.gradients())
+        optimizer.step([parameters], [gradients])
         return batch_loss
 
     # -- internals --------------------------------------------------------------
@@ -128,14 +131,47 @@ class MLPRegressor:
 
     def _backward(self, grad_output: np.ndarray) -> None:
         current = grad_output
-        for layer in reversed(self.layers):
-            current = layer.backward(current)
+        for position in range(len(self.layers) - 1, -1, -1):
+            # the first layer's input gradient would have no consumer
+            current = self.layers[position].backward(current, input_gradient=position > 0)
 
-    def clear_activations(self) -> None:
-        """Drop every layer's last training batch (called when training ends,
-        so a trained model carries — and pickles — only its parameters)."""
+    def _flat_training_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """One parameter vector and one gradient vector for the whole network.
+
+        Every layer's weights, bias and gradients are re-bound as views into
+        them, so the optimizer updates all of them with one set of
+        elementwise calls (the same operations per element as one call per
+        array).  Re-packed whenever a layer's arrays were replaced.
+        """
+        if self._flat is not None:
+            parameters = self._flat[0]
+            if all(
+                layer.weights.base is parameters and layer.bias.base is parameters
+                for layer in self.layers
+            ):
+                return self._flat
+        parameters = np.concatenate([array.ravel() for array in self.parameters()])
+        gradients = np.zeros_like(parameters)
+        offset = 0
         for layer in self.layers:
-            layer.clear_activations()
+            shape, size = layer.weights.shape, layer.weights.size
+            layer.weights = parameters[offset : offset + size].reshape(shape)
+            layer.grad_weights = gradients[offset : offset + size].reshape(shape)
+            offset += size
+            size = layer.bias.size
+            layer.bias = parameters[offset : offset + size]
+            layer.grad_bias = gradients[offset : offset + size]
+            offset += size
+        self._flat = (parameters, gradients)
+        return self._flat
+
+    def drop_training_state(self) -> None:
+        """Drop every layer's last batch, buffers and gradients (called when
+        training ends, so a trained model carries — and pickles — only its
+        parameters)."""
+        self._flat = None
+        for layer in self.layers:
+            layer.drop_training_state()
 
     # -- parameter plumbing -------------------------------------------------------
 
@@ -144,12 +180,6 @@ class MLPRegressor:
         for layer in self.layers:
             params.extend(layer.parameters())
         return params
-
-    def gradients(self) -> list[np.ndarray]:
-        grads: list[np.ndarray] = []
-        for layer in self.layers:
-            grads.extend(layer.gradients())
-        return grads
 
     @property
     def n_parameters(self) -> int:

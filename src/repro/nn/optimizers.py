@@ -10,7 +10,13 @@ __all__ = ["Optimizer", "SGD", "Adam", "optimizer_by_name"]
 
 
 class Optimizer(abc.ABC):
-    """Updates a list of parameter arrays in place from matching gradients."""
+    """Updates a list of parameter arrays in place from matching gradients.
+
+    Every update is elementwise, so one flat vector holding all of a
+    network's parameters (what :class:`~repro.nn.mlp.MLPRegressor` passes)
+    gets exactly the values a step over each array would, in one set of
+    calls.
+    """
 
     name: str = "abstract"
 
@@ -94,13 +100,22 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
         for m, v, param, grad in zip(self._m, self._v, parameters, gradients):
+            # m_hat = m / bias1, v_hat = v / bias2 and
+            # param -= lr * m_hat / (sqrt(v_hat) + eps), in two temporary arrays
+            step = np.multiply(grad, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += step
+            np.multiply(grad, 1.0 - self.beta2, out=step)
+            step *= grad
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            v += step
+            denominator = np.divide(v, bias2)
+            np.sqrt(denominator, out=denominator)
+            denominator += self.epsilon
+            np.divide(m, bias1, out=step)
+            step *= self.learning_rate
+            step /= denominator
+            param -= step
 
     def reset(self) -> None:
         self._m = None

@@ -282,7 +282,11 @@ class BlockStore:
         """
         block = self.read(self.base_block_id(position))
         if block.next_id is not None and hasattr(self.cache, "prefetch"):
-            self._cache_prefetch(self._chain_successor_ids(block))
+            # most base blocks link straight to the next base block: no
+            # overflow chain, nothing to prefetch
+            successors = self._chain_successor_ids(block)
+            if successors:
+                self._cache_prefetch(successors)
         yield block
         next_id = block.next_id
         while next_id is not None:

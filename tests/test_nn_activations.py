@@ -28,6 +28,28 @@ class TestSigmoid:
         numerical = (sigmoid.forward(z + eps) - sigmoid.forward(z - eps)) / (2 * eps)
         assert np.allclose(analytic, numerical, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.array([0.0, -0.0]),
+            np.array([5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310, -1e-310]),
+            np.array([745.0, -745.0, 745.2, -745.2, 744.9, -744.9]),
+            np.array([1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]),
+            np.random.default_rng(4).normal(scale=30.0, size=(50, 33)),
+        ],
+        ids=["signed-zeros", "subnormals", "745", "1e308", "random"],
+    )
+    def test_forward_bit_equal_to_two_division_formula(self, z):
+        """The one-division forward, with and without an ``out`` buffer,
+        gives exactly what ``where(z >= 0, 1/(1+e), e/(1+e))`` gave."""
+        e = np.exp(-np.abs(z))
+        denominator = 1.0 + e
+        expected = np.where(z >= 0, 1.0 / denominator, e / denominator)
+        assert Sigmoid().forward(z).tobytes() == expected.tobytes()
+        out = np.full(z.shape, np.nan)
+        assert Sigmoid().forward(z, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestReLU:
     def test_forward(self):

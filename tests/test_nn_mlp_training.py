@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn import (
+    Adam,
     MinMaxScaler,
     MLPRegressor,
     TrainingConfig,
@@ -149,6 +150,25 @@ class TestTraining:
         model = MLPRegressor(1, (2,))
         with pytest.raises(ValueError):
             train_regressor(model, np.zeros((3, 1)), np.zeros(4))
+
+    def test_train_batch_steps_weights_assigned_between_batches(self):
+        """A step trains the arrays the layers hold now, even when one was
+        replaced after an earlier step bound them into the flat vector."""
+        rng = np.random.default_rng(4)
+        inputs, targets = rng.random((30, 2)), rng.random(30)
+        model = MLPRegressor(2, (5,), rng=np.random.default_rng(0))
+        model.train_batch(inputs, targets, Adam(0.01))
+        replacement = np.full((2, 5), 0.25)
+        model.layers[0].weights = replacement.copy()
+        twin = MLPRegressor(2, (5,), rng=np.random.default_rng(0))
+        for layer, source in zip(twin.layers, model.layers):
+            layer.weights, layer.bias = source.weights.copy(), source.bias.copy()
+        model.train_batch(inputs, targets, Adam(0.01))
+        twin.train_batch(inputs, targets, Adam(0.01))
+        assert not np.array_equal(model.layers[0].weights, replacement)
+        for layer, twin_layer in zip(model.layers, twin.layers):
+            assert np.array_equal(layer.weights, twin_layer.weights)
+            assert np.array_equal(layer.bias, twin_layer.bias)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 1000))

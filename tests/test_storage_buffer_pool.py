@@ -353,6 +353,18 @@ class TestBlockStorePrefetchHooks:
         assert store.stats.prefetch_block_reads == 3
         assert store.stats.cache_hits == 3
 
+    def test_chain_walk_without_overflow_asks_for_no_prefetch(self, monkeypatch):
+        """A base block linked to the next base block has no chain behind
+        it: walking it asks the pool for nothing."""
+        store = self._packed_store(8)
+        assert store.peek(store.base_block_id(0)).next_id is not None
+        client = SharedBufferPool(16).client("store")
+        store.attach_cache(client)
+        calls = []
+        monkeypatch.setattr(client, "prefetch", lambda keys: calls.append(keys) or [])
+        assert len(list(store.iter_chain(0))) == 1
+        assert calls == []
+
     def test_prefetch_admission_refreshes_from_disk(self, tmp_path):
         store = self._packed_store(32)
         store.attach_disk(BlockFile(tmp_path / "blocks.dat", store.capacity))
