@@ -13,12 +13,6 @@ Public entry points:
   approximation used to size the initial kNN search region.
 """
 
-from repro.core.batch import (
-    BatchResult,
-    batch_knn_queries,
-    batch_point_queries,
-    batch_window_queries,
-)
 from repro.core.config import RSMIConfig
 from repro.core.extent import ExtendedObjectIndex
 from repro.core.persistence import load_index, save_index
@@ -37,10 +31,6 @@ __all__ = [
     "WindowQueryResult",
     "KNNQueryResult",
     "ExtendedObjectIndex",
-    "BatchResult",
-    "batch_point_queries",
-    "batch_window_queries",
-    "batch_knn_queries",
     "save_index",
     "load_index",
 ]

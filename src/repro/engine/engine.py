@@ -38,7 +38,7 @@ from repro.core.rsmi import RSMI, _outward_positions
 from repro.core.window import window_corner_points
 from repro.engine.routing import route_batch
 from repro.geometry import Rect
-from repro.storage import hilbert_sort_order, make_page_cache
+from repro.storage import make_page_cache
 from repro.storage.stats import AccessSummary
 
 __all__ = ["BatchQueryEngine", "ENGINE_MODES", "HASH_AFTER_PROBES"]
@@ -57,21 +57,6 @@ ENGINE_MODES = ("auto", "sequential")
 HASH_AFTER_PROBES = 4
 
 _EMPTY = np.empty((0, 2), dtype=float)
-
-
-def _scatter(grouped: list, order) -> list:
-    """Undo a batch permutation: ``grouped[i]`` answers query ``order[i]``."""
-    results = [None] * len(grouped)
-    for spot, value in zip(order.tolist(), grouped):
-        results[spot] = value
-    return results
-
-
-def _centers(windows) -> np.ndarray:
-    """``(n, 2)`` window centres: the reorder keys of window-shaped ops."""
-    return np.asarray(
-        [((w.xlo + w.xhi) / 2.0, (w.ylo + w.yhi) / 2.0) for w in windows], dtype=float
-    ).reshape(-1, 2)
 
 
 class BatchQueryEngine:
@@ -99,15 +84,6 @@ class BatchQueryEngine:
         ``cache_blocks``): the index is attached to the pool client named
         ``pool_client`` (auto-named when None) with an optional residency
         ``pool_budget``, so several engines can share one capacity.
-    reorder:
-        When True, per-query fallback batches are executed in Hilbert-key
-        order of their query points (window batches by window centre) and
-        results are scattered back to input order.  Queries touching the
-        same block neighbourhood run back-to-back, so under a small cache
-        each hot page faults once per batch instead of once per revisit.
-        Answers are byte-identical either way (asserted by the differential
-        tests); the vectorised RSMI paths already touch every block once
-        per batch and ignore the flag.
 
     Every request resets the index's :class:`AccessStats` and reports the
     batch's total logical and physical block/node reads on the returned
@@ -124,13 +100,11 @@ class BatchQueryEngine:
         shared_pool=None,
         pool_client: str | None = None,
         pool_budget: int | None = None,
-        reorder: bool = False,
     ):
         if mode not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {mode!r}; available: {ENGINE_MODES}")
         self.index = index
         self.mode = mode
-        self.reorder = bool(reorder)
         cache = make_page_cache(cache_blocks, cache_policy)
         if cache is not None and shared_pool is not None:
             raise ValueError("pass either cache_blocks or shared_pool, not both")
@@ -175,11 +149,7 @@ class BatchQueryEngine:
             found = self._point_batch_vectorized(points)
         else:
             contains = self.index.contains
-
-            def one(row) -> bool:
-                return bool(contains(float(row[0]), float(row[1])))
-
-            found = self._run_fallback(one, list(points), points)
+            found = [bool(contains(x, y)) for x, y in points.tolist()]
         return self._result("point", found, stats)
 
     def _run_windows(self, windows) -> QueryResult:
@@ -189,7 +159,7 @@ class BatchQueryEngine:
         if self._vectorizes_windows and windows:
             results = self._window_batch_vectorized(windows)
         else:
-            results = self._run_fallback(self.index.window_query, windows, _centers(windows))
+            results = [self.index.window_query(window) for window in windows]
         return self._result("window", results, stats)
 
     def _run_knn(self, queries: np.ndarray, k: int) -> QueryResult:
@@ -203,11 +173,7 @@ class BatchQueryEngine:
         queries = np.asarray(queries, dtype=float).reshape(-1, 2)
         stats = self._reset_stats()
         knn_query = self.index.knn_query
-
-        def one(row) -> np.ndarray:
-            return knn_query(float(row[0]), float(row[1]), k)
-
-        results = self._run_fallback(one, list(queries), queries)
+        results = [knn_query(x, y, k) for x, y in queries.tolist()]
         return self._result("knn", results, stats)
 
     # ----------------------------------------------------------------- aggregates --
@@ -237,10 +203,10 @@ class BatchQueryEngine:
             # the window scan is whatever the index answers a window query
             # with (exact traversal for RSMIa, node-based traversal for the
             # baselines); only the folded partial survives
-            def one(spec):
-                return spec.fold(spec.new_partial(), self.index.window_query(spec.window))
-
-            partials = self._run_fallback(one, specs, _centers([spec.window for spec in specs]))
+            partials = [
+                spec.fold(spec.new_partial(), self.index.window_query(spec.window))
+                for spec in specs
+            ]
         return self._result("aggregate", partials, stats)
 
     def _aggregate_batch_vectorized(self, specs) -> list:
@@ -406,27 +372,7 @@ class BatchQueryEngine:
         members = hashed[position] = set(map(tuple, points.tolist()))
         return (x, y) in members
 
-    # -------------------------------------------------------------- fallback path --
-
-    def _run_fallback(self, fn, items: list, keys: np.ndarray) -> list:
-        """Answer ``items`` one query at a time; results in input order.
-
-        With ``reorder`` on, the queries run in Hilbert-key order of
-        ``keys`` (one row per item) and their results scatter back.
-        """
-        order = self._batch_order(keys)
-        if order is None:
-            return [fn(item) for item in items]
-        return _scatter([fn(items[i]) for i in order.tolist()], order)
-
     # ------------------------------------------------------------------- plumbing --
-
-    def _batch_order(self, keys: np.ndarray) -> np.ndarray | None:
-        """Hilbert-key permutation grouping a fallback batch by predicted
-        block neighbourhood; None when reordering is off or pointless."""
-        if not self.reorder or keys.shape[0] < 2:
-            return None
-        return hilbert_sort_order(keys)
 
     def _reset_stats(self):
         stats = self.index.stats

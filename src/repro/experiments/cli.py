@@ -115,14 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gated, scan-resistant; default) or 'lru' (always admit)",
     )
     parser.add_argument(
-        "--batch-reorder",
-        action="store_true",
-        help="run each read micro-batch of a --scenario replay in Hilbert-key "
-        "order (results scatter back to input order), so co-located queries "
-        "share cached blocks; applies under either --execution mode, except "
-        "to the vectorised RSMI paths of --execution batched",
-    )
-    parser.add_argument(
         "--tenants",
         type=int,
         default=None,
@@ -241,8 +233,6 @@ def _apply_profile_overrides(args, profile):
         extras["shared_pool_blocks"] = args.shared_pool_blocks
     if args.pool_admission is not None:
         extras["pool_admission"] = args.pool_admission
-    if args.batch_reorder:
-        extras["batch_reorder"] = True
     if args.tenants is not None:
         extras["tenants"] = args.tenants
     if args.arrival_rate is not None:

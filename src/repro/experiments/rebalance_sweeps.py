@@ -28,7 +28,7 @@ from repro.experiments.scenario_sweeps import (
     build_sharded_index,
     scenario_spec_for_profile,
 )
-from repro.experiments.sweeps import execution_mode, make_points
+from repro.experiments.sweeps import engine_mode, make_points
 from repro.evaluation.runner import SuiteConfig
 from repro.sharding import RebalanceConfig, RebalanceController
 from repro.workloads import OracleIndex, ScenarioRunner
@@ -37,8 +37,6 @@ __all__ = ["REBALANCE_SWEEP_INDEX_NAMES", "rebalance_sweep_config", "run_rebalan
 
 #: default arms: one exact paged baseline, one learned block layout
 REBALANCE_SWEEP_INDEX_NAMES = ("Grid", "ZM")
-
-_ENGINE_MODES = {"sequential": "sequential", "batched": "auto"}
 
 
 def rebalance_sweep_config(
@@ -76,7 +74,7 @@ def run_rebalance_sweep(
         training_epochs=profile.training_epochs,
         seed=profile.seed,
     )
-    engine_mode = _ENGINE_MODES[execution_mode(profile)]
+    mode = engine_mode(profile)
     split_threshold = profile.extras.get("split_threshold")
 
     rows: list[list] = []
@@ -97,7 +95,7 @@ def run_rebalance_sweep(
                 index,
                 spec,
                 oracle=OracleIndex().build(points) if check else None,
-                engine_mode=engine_mode,
+                engine_mode=mode,
                 rebalancer=rebalancer,
             )
             result = runner.run(points)

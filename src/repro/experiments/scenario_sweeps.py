@@ -22,8 +22,8 @@ from repro.evaluation.adapters import build_index_suite
 from repro.evaluation.runner import SuiteConfig
 from repro.experiments.base import ExperimentResult, register_experiment
 from repro.experiments.profiles import ScaleProfile
-from repro.experiments.sweeps import execution_mode, make_points
-from repro.sharding import EXACT_KINDS, ShardedSpatialIndex, shard_index_factory
+from repro.experiments.sweeps import engine_mode, make_points
+from repro.sharding import ShardedSpatialIndex, shard_index_factory
 from repro.storage import (
     STORAGE_BACKENDS,
     DurableIndex,
@@ -44,7 +44,6 @@ from repro.workloads import (
 
 __all__ = [
     "SCENARIO_INDEX_NAMES",
-    "EXACT_RESULT_INDICES",
     "scenario_spec_for_profile",
     "build_sharded_index",
     "run_scenario_sweep",
@@ -55,14 +54,6 @@ __all__ = [
 #: (every name gets a fresh build here, since the stream mutates it); request
 #: it explicitly via ``--scenario-indices`` to fuzz the exact query variants.
 SCENARIO_INDEX_NAMES = ("Grid", "HRR", "KDB", "RR*", "ZM", "RSMI")
-
-#: deprecated: the name set survives for older tests, but harness code now
-#: reads the ``supports_exact_results`` capability flag off the index itself
-#: (string-matching names breaks down for wrappers, shards and engines)
-EXACT_RESULT_INDICES = EXACT_KINDS
-
-#: engine mode per CLI/profile execution override
-_ENGINE_MODES = {"sequential": "sequential", "batched": "auto"}
 
 
 def scenario_spec_for_profile(
@@ -295,7 +286,7 @@ def run_scenario_sweep(
         training_epochs=profile.training_epochs,
         seed=profile.seed,
     )
-    engine_mode = _ENGINE_MODES[execution_mode(profile)]
+    mode = engine_mode(profile)
 
     rows: list[list] = []
     notes: list[str] = []
@@ -329,12 +320,7 @@ def run_scenario_sweep(
                 cache_policy=cache_policy,
                 name=name,
             )
-            engine = ParallelShardEngine(
-                serving_spec,
-                n_workers=workers,
-                mode=engine_mode,
-                reorder=bool(profile.extras.get("batch_reorder", False)),
-            )
+            engine = ParallelShardEngine(serving_spec, n_workers=workers, mode=mode)
             index = engine
         elif shards > 1:
             index = build_sharded_index(points, name, shards, sharding_policy, config)
@@ -397,10 +383,8 @@ def run_scenario_sweep(
             index,
             spec,
             oracle=oracle,
-            engine_mode=engine_mode,
-            batch_reorder=bool(profile.extras.get("batch_reorder", False)),
+            engine_mode=mode,
             rebalancer=rebalancer,
-            engine=engine,
         )
         result = runner.replay(operations)
         for snapshot in result.snapshots:
@@ -482,7 +466,7 @@ def run_scenario_sweep(
                 from repro.serving import FrontDoor, ParallelShardEngine
 
                 paced_engine = ParallelShardEngine(
-                    serving_spec, n_workers=workers, mode=engine_mode
+                    serving_spec, n_workers=workers, mode=mode
                 )
                 try:
                     door = FrontDoor(

@@ -32,6 +32,7 @@ __all__ = [
     "suite_config",
     "make_suite",
     "execution_mode",
+    "engine_mode",
     "run_point_workload",
     "run_window_workload",
     "run_knn_workload",
@@ -49,6 +50,11 @@ def execution_mode(profile: ScaleProfile, execution: Optional[str] = None) -> st
     if execution is not None:
         return execution
     return profile.extras.get("execution", "sequential")
+
+
+def engine_mode(profile: ScaleProfile) -> str:
+    """The batch-engine mode implementing the profile's execution mode."""
+    return {"sequential": "sequential", "batched": "auto"}[execution_mode(profile)]
 
 
 def make_points(

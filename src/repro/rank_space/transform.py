@@ -55,7 +55,7 @@ class RankSpaceOrdering:
     Attributes
     ----------
     sorted_points:
-        The points reordered by ascending curve value, shape ``(n, 2)``.
+        The points sorted by ascending curve value, shape ``(n, 2)``.
     sort_index:
         ``sorted_points[i] == points[sort_index[i]]``.
     curve_values:

@@ -1,10 +1,11 @@
 """Process-pool serving: per-shard-group workers behind one batch engine.
 
-:class:`ParallelShardEngine` is the multi-core sibling of
-:class:`~repro.sharding.ShardedBatchEngine`: the same
-``execute(QueryRequest)`` surface, the same per-shard grouping and merge
-and the same :class:`~repro.analytics.ops.QueryResult` accounting, but the
-per-shard sub-batches execute in **worker processes**.
+:class:`ParallelShardEngine` is the multi-core placement of
+:class:`~repro.sharding.ShardedBatchEngine`.  It subclasses it and keeps its
+request body: the same ``execute(QueryRequest)`` surface, per-shard
+grouping, shard-id-order merge and :class:`~repro.analytics.ops.QueryResult`
+accounting.  Only the per-shard dispatch, kNN and writes run in **worker
+processes**.
 
 Worker topology
 ---------------
@@ -24,6 +25,10 @@ the differential fuzz suite (``tests/test_parallel_differential.py``)
 asserts this across index kinds, sharding policies and worker counts.
 Workers reply with answers and per-shard read counts only; the caller
 times the request.
+
+The engine is its own write target: ``insert``/``delete`` route to the
+owning worker, and the reads each write costs there are added into
+:attr:`ParallelShardEngine.stats`, which callers bracket like any index's.
 """
 
 from __future__ import annotations
@@ -34,19 +39,19 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analytics.ops import QueryRequest, QueryResult
+from repro.analytics.ops import QueryResult
 from repro.serving import worker as worker_mod
 from repro.serving.spec import ServingSpec
-from repro.sharding.engine import group_by_shard, merge_shard_answers, request_ops, sub_batch
+from repro.sharding.engine import ShardedBatchEngine, shard_access
 from repro.sharding.router import ShardRouter
-from repro.storage.stats import AccessSummary
+from repro.storage.stats import AccessStats
 
 __all__ = ["ParallelShardEngine"]
 
 _EMPTY = np.empty((0, 2), dtype=float)
 
 
-class ParallelShardEngine:
+class ParallelShardEngine(ShardedBatchEngine):
     """Execute query batches against process-pool-resident shards.
 
     Parameters
@@ -56,7 +61,7 @@ class ParallelShardEngine:
     n_workers:
         Number of shard groups / worker processes (>= 1; capped at the
         shard count).
-    mode / reorder:
+    mode:
         Forwarded to every worker's per-shard engines (same semantics as
         :class:`~repro.sharding.ShardedBatchEngine`).
     start_method:
@@ -65,15 +70,11 @@ class ParallelShardEngine:
         to workers is picklable, so both work.
     """
 
-    #: the scenario runner routes writes through engines advertising this
-    applies_writes = True
-
     def __init__(
         self,
         spec: ServingSpec,
         n_workers: int = 2,
         mode: str = "auto",
-        reorder: bool = False,
         start_method: Optional[str] = None,
     ):
         if n_workers < 1:
@@ -85,6 +86,8 @@ class ParallelShardEngine:
         #: capability flags, mirroring the sharded index the workers rebuild
         self.supports_exact_results = spec.supports_exact_results
         self.supports_attributes = True
+        #: reads the workers report for writes; every request resets it
+        self.stats = AccessStats()
         # the parent routes with its own router over a private policy copy;
         # replaying the spec's assignment reproduces the overflow extents a
         # directly built index would have recorded
@@ -108,8 +111,6 @@ class ParallelShardEngine:
         self._pools: dict[int, ProcessPoolExecutor] = {}
         self._closed = False
         self._n_points = spec.n_points
-        self._write_logical = 0
-        self._write_physical = 0
         try:
             for group in self._groups:
                 self._pools[group] = ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
@@ -119,7 +120,7 @@ class ParallelShardEngine:
             }
             futures = [
                 (group, self._pools[group].submit(
-                    worker_mod.worker_init, spec.subset(shard_ids), shard_ids, mode, reorder
+                    worker_mod.worker_init, spec.subset(shard_ids), shard_ids, mode
                 ))
                 for group, shard_ids in self._groups.items()
             ]
@@ -135,80 +136,33 @@ class ParallelShardEngine:
             self.close()
             raise
 
-    # -- convenience constructors ----------------------------------------------
-
-    @classmethod
-    def from_points(cls, factory, points, n_shards=4, policy="grid", **kwargs):
-        """Build straight from a point set (spec construction included)."""
-        spec_kwargs = {
-            key: kwargs.pop(key)
-            for key in ("cache_blocks", "cache_policy", "name")
-            if key in kwargs
-        }
-        spec = ServingSpec.from_points(
-            factory, points, n_shards=n_shards, policy=policy, **spec_kwargs
-        )
-        return cls(spec, **kwargs)
-
-    @classmethod
-    def from_index(cls, index, **kwargs):
-        """Serve a snapshot of a built (possibly rebalanced) sharded index."""
-        return cls(ServingSpec.from_index(index), **kwargs)
-
-    # -- dispatch plumbing -------------------------------------------------------
-
-    @staticmethod
-    def _access(per_group_reads) -> AccessSummary:
-        """The request's reads, summed over the workers' per-shard deltas."""
-        per_shard: dict[int, int] = {}
-        physical = 0
-        for reads in per_group_reads:
-            for shard_id, (logical, phys) in reads.items():
-                per_shard[shard_id] = per_shard.get(shard_id, 0) + logical
-                physical += phys
-        return AccessSummary(
-            logical_reads=sum(per_shard.values()),
-            physical_reads=physical,
-            per_shard_logical_reads=per_shard,
-        )
+    @property
+    def index(self) -> "ParallelShardEngine":
+        """The engine itself: its router groups requests, and callers write
+        through it and bracket its :attr:`stats`."""
+        return self
 
     # -- queries -----------------------------------------------------------------
 
-    def execute(self, request: QueryRequest) -> QueryResult:
-        """Execute one :class:`~repro.analytics.ops.QueryRequest`.
-
-        Same protocol as the single-process engines.  Point, window and
-        aggregate requests are grouped per shard, each worker group gets
-        one task holding its shards' sub-batches, and the answers merge
-        parent-side in shard-id order.  Aggregate requests ship **partials**
-        back from the workers — an O(1)-sized object per (spec, shard)
-        instead of the shard's window point set — so answers are identical
-        to :class:`~repro.sharding.ShardedBatchEngine` over the same spec.
-        """
-        if request.kind == "knn":
-            return self._run_knn(request.points, request.k)
-        kind = request.kind
-        ops = request_ops(request)
-        by_shard = group_by_shard(self.router, kind, ops)
+    def _dispatch(self, kind: str, batches: dict) -> tuple[dict, dict]:
+        """One task per worker group holding its shards' sub-batches; each
+        worker answers them through the in-process dispatch.  Aggregates
+        come back as **partials** — an O(1)-sized object per (spec, shard)
+        instead of the shard's window point set."""
         payloads: dict[int, dict] = {}
-        for shard_id, indices in by_shard.items():
-            group = shard_id % self.n_workers
-            payloads.setdefault(group, {})[shard_id] = sub_batch(kind, ops, indices)
-        futures = {
-            group: self._pools[group].submit(worker_mod.worker_read, kind, payload)
+        for shard_id, ops in batches.items():
+            payloads.setdefault(shard_id % self.n_workers, {})[shard_id] = ops
+        futures = [
+            self._pools[group].submit(worker_mod.worker_read, kind, payload)
             for group, payload in sorted(payloads.items())
-        }
+        ]
         answers: dict[int, list] = {}
-        per_group_reads = []
-        for group, future in sorted(futures.items()):
-            shard_answers, reads = future.result()
-            answers.update(shard_answers)
-            per_group_reads.append(reads)
-        return QueryResult(
-            kind=kind,
-            values=merge_shard_answers(kind, ops, by_shard, answers),
-            access=self._access(per_group_reads),
-        )
+        reads: dict[int, tuple[int, int]] = {}
+        for future in futures:
+            group_answers, group_reads = future.result()
+            answers.update(group_answers)
+            reads.update(group_reads)
+        return answers, reads
 
     def _run_knn(self, queries: np.ndarray, k: int) -> QueryResult:
         """kNN: every group computes its owned shards' local top-k; the
@@ -222,16 +176,16 @@ class ParallelShardEngine:
         serialising the fan-out, so here every shard always answers."""
         queries = np.asarray(queries, dtype=float).reshape(-1, 2)
         if queries.shape[0] == 0:
-            return QueryResult(kind="knn", values=[], access=self._access([]))
-        futures = {
-            group: self._pools[group].submit(worker_mod.worker_knn, queries, k)
+            return QueryResult(kind="knn", values=[], access=shard_access({}))
+        futures = [
+            self._pools[group].submit(worker_mod.worker_knn, queries, k)
             for group in sorted(self._groups)
-        }
+        ]
         merged: list[list] = [[] for _ in range(queries.shape[0])]
-        per_group_reads = []
-        for _group, future in sorted(futures.items()):
-            candidates, reads = future.result()
-            per_group_reads.append(reads)
+        reads: dict[int, tuple[int, int]] = {}
+        for future in futures:
+            candidates, group_reads = future.result()
+            reads.update(group_reads)
             for query_index, best in enumerate(candidates):
                 merged[query_index].extend(best)
         results = []
@@ -241,11 +195,16 @@ class ParallelShardEngine:
             results.append(
                 np.asarray([(px, py) for _, px, py in best], dtype=float).reshape(-1, 2)
             )
-        return QueryResult(
-            kind="knn",
-            values=results,
-            access=self._access(per_group_reads),
-        )
+        return QueryResult(kind="knn", values=results, access=shard_access(reads))
+
+    # the per-shard steps of the in-process engine run inside the workers;
+    # the parent holds no shards to run them on
+
+    def run_shard(self, shard_id: int, kind: str, ops) -> list:
+        raise TypeError("ParallelShardEngine shards live in its worker processes")
+
+    def engine_for(self, shard_id: int):
+        raise TypeError("ParallelShardEngine shards live in its worker processes")
 
     # -- writes ------------------------------------------------------------------
 
@@ -253,32 +212,24 @@ class ParallelShardEngine:
         """Insert through the owning shard's worker."""
         x, y = float(x), float(y)
         shard_id = self.router.record_insert(x, y)
-        logical, physical = self._pools[shard_id % self.n_workers].submit(
-            worker_mod.worker_insert, shard_id, x, y
-        ).result()
-        self._write_logical += logical
-        self._write_physical += physical
+        self.stats.add(
+            self._pools[shard_id % self.n_workers].submit(
+                worker_mod.worker_insert, shard_id, x, y
+            ).result()
+        )
         self._n_points += 1
 
     def delete(self, x: float, y: float) -> bool:
         """Delete through the owning shard's worker."""
         x, y = float(x), float(y)
         shard_id = self.router.shard_for_point(x, y)
-        removed, (logical, physical) = self._pools[shard_id % self.n_workers].submit(
+        removed, reads = self._pools[shard_id % self.n_workers].submit(
             worker_mod.worker_delete, shard_id, x, y
         ).result()
-        self._write_logical += logical
-        self._write_physical += physical
+        self.stats.add(reads)
         if removed:
             self._n_points -= 1
         return removed
-
-    def pop_write_accesses(self) -> tuple[int, int]:
-        """(logical, physical) reads accumulated by writes since last call."""
-        out = (self._write_logical, self._write_physical)
-        self._write_logical = 0
-        self._write_physical = 0
-        return out
 
     # -- accounting / lifecycle --------------------------------------------------
 

@@ -37,9 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.analytics.ops import QueryRequest
 from repro.workloads.latency import LatencySummary, PercentileSketch
-from repro.workloads.stream import Operation
+from repro.workloads.stream import Operation, read_requests
 
 __all__ = [
     "TokenBucket",
@@ -183,10 +182,9 @@ class FrontDoor:
     Parameters
     ----------
     engine:
-        Anything with ``execute(QueryRequest)``; writes go through the
-        engine's own ``insert``/``delete`` when it advertises
-        ``applies_writes`` (the parallel engine), else through
-        ``engine.index``.
+        Any batch engine: reads go through ``execute(QueryRequest)`` and
+        writes through ``engine.index`` (the process-pool engine is its own
+        index, so its writes reach the owning worker).
     max_inflight:
         Bound on queued-but-undispatched operations; in paced mode an
         arrival finding the queue full is shed.
@@ -221,10 +219,6 @@ class FrontDoor:
         self.min_batch = int(min_batch)
         self.max_batch = int(max_batch)
         self.collect_answers = bool(collect_answers)
-        if getattr(engine, "applies_writes", False):
-            self._write_target = engine
-        else:
-            self._write_target = getattr(engine, "index", engine)
 
     # -- public entry ----------------------------------------------------------
 
@@ -332,41 +326,17 @@ class FrontDoor:
         completion instant.  Reads split per kind but results append in
         stream order when collected."""
         slot_answers: dict[int, object] = {}
-        by_kind: dict[str, list[int]] = {}
-        for position, op in enumerate(ops):
-            by_kind.setdefault(op.kind, []).append(position)
-        for kind in ("point", "window", "knn", "aggregate"):
-            positions = by_kind.get(kind)
-            if not positions:
-                continue
-            if kind == "point":
-                queries = np.asarray(
-                    [(ops[p].x, ops[p].y) for p in positions], dtype=float
-                )
-                request = QueryRequest.for_points(queries)
-            elif kind == "window":
-                request = QueryRequest.for_windows(
-                    [ops[p].window for p in positions]
-                )
-            elif kind == "knn":
-                queries = np.asarray(
-                    [(ops[p].x, ops[p].y) for p in positions], dtype=float
-                )
-                request = QueryRequest.for_knn(queries, ops[positions[0]].k)
-            else:
-                request = QueryRequest.for_aggregates(
-                    [ops[p].agg for p in positions]
-                )
+        for positions, request in read_requests(ops):
             result = self.engine.execute(request)
             for position, answer in zip(positions, result.values):
                 slot_answers[position] = answer
-        for position in by_kind.get("insert", []):
-            op = ops[position]
-            self._write_target.insert(op.x, op.y)
-            slot_answers[position] = None
-        for position in by_kind.get("delete", []):
-            op = ops[position]
-            slot_answers[position] = bool(self._write_target.delete(op.x, op.y))
+        index = self.engine.index
+        for position, op in enumerate(ops):
+            if op.kind == "insert":
+                index.insert(op.x, op.y)
+                slot_answers[position] = None
+            elif op.kind == "delete":
+                slot_answers[position] = bool(index.delete(op.x, op.y))
         if answers is not None:
             for position in range(len(ops)):
                 answers.append(slot_answers.get(position))

@@ -11,17 +11,17 @@ pool object ever crosses the process boundary), plus a
 ``BatchQueryEngine``s serve the sub-batches.
 
 The parent does all routing; tasks arrive already grouped per shard.  Every
-task resets the touched shards' :class:`~repro.storage.AccessStats` on
+read task resets the touched shards' :class:`~repro.storage.AccessStats` on
 entry and returns ``{shard_id: (logical, physical)}`` read deltas, so the
-parent can aggregate block accounting exactly like the single-process
-engines do.  Workers do not time their tasks: whoever calls the parallel
-engine times the request end to end.
+parent builds its block accounting exactly like the single-process engine
+does; a write returns its :class:`~repro.storage.AccessStats` delta.
+Workers do not time their tasks: whoever calls the parallel engine times
+the request end to end.
 
 Answers are byte-identical to the single-threaded engine because the shard
 structures are byte-identical (see :meth:`ShardedSpatialIndex
-.build_assigned`) and each sub-batch goes through the very same
-:meth:`~repro.sharding.ShardedBatchEngine.run_shard` step
-(``prefetch_windows`` warming included).
+.build_assigned`) and each read task goes through the very same in-process
+dispatch (``prefetch_windows`` warming included).
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from repro.serving.spec import ServingSpec
-from repro.sharding.engine import ShardedBatchEngine
+from repro.sharding.engine import ShardedBatchEngine, shard_reads
+from repro.storage.stats import AccessStats
 
 __all__ = [
     "worker_init",
@@ -47,18 +48,10 @@ _STATE: Optional["_WorkerState"] = None
 
 
 class _WorkerState:
-    def __init__(self, spec: ServingSpec, shard_ids, mode: str, reorder: bool):
+    def __init__(self, spec: ServingSpec, shard_ids, mode: str):
         self.shard_ids = sorted(int(s) for s in shard_ids)
         self.index = spec.subset(self.shard_ids).build_index()
-        self.engine = ShardedBatchEngine(self.index, mode=mode, reorder=reorder)
-
-    def reads_since_reset(self, shard_ids) -> dict:
-        out = {}
-        for shard_id in shard_ids:
-            stats = self.index.shards[shard_id].stats
-            if stats.total_reads > 0:
-                out[shard_id] = (int(stats.total_reads), int(stats.physical_reads))
-        return out
+        self.engine = ShardedBatchEngine(self.index, mode=mode)
 
 
 def _state() -> "_WorkerState":
@@ -70,10 +63,10 @@ def _state() -> "_WorkerState":
 # -- lifecycle -----------------------------------------------------------------
 
 
-def worker_init(spec: ServingSpec, shard_ids, mode: str = "auto", reorder: bool = False):
+def worker_init(spec: ServingSpec, shard_ids, mode: str = "auto"):
     """Build this worker's owned shards; returns ``{shard_id: n_points}``."""
     global _STATE
-    _STATE = _WorkerState(spec, shard_ids, mode, reorder)
+    _STATE = _WorkerState(spec, shard_ids, mode)
     return {
         shard_id: _STATE.index.shards[shard_id].n_points
         for shard_id in _STATE.shard_ids
@@ -83,26 +76,20 @@ def worker_init(spec: ServingSpec, shard_ids, mode: str = "auto", reorder: bool 
 # -- reads ---------------------------------------------------------------------
 
 
-def worker_read(kind: str, groups: dict):
+def worker_read(kind: str, batches: dict):
     """Point, window or aggregate sub-batches, already routed:
     ``{shard_id: ops}`` with ops a ``(n, 2)`` query array, a list of
     :class:`~repro.geometry.Rect` or a list of ``AggregateSpec``.
 
-    Returns ``(answers, reads)`` with ``answers[shard_id]`` the
-    shard's per-op answers in input order (see
-    :meth:`ShardedBatchEngine.run_shard`).  Aggregates come back as
+    Returns ``(answers, reads)`` from the in-process
+    :meth:`ShardedBatchEngine._dispatch`.  Aggregates come back as
     **unfinalised** picklable partials: this is where the parallel tier's
     push-down pays, since an O(1)-sized partial crosses the process
     boundary instead of the shard's window point set.  The parent merges
     answers across workers in shard-id order, exactly like the
     single-process sharded engine merges across shards.
     """
-    state = _state()
-    answers = {
-        shard_id: state.engine.run_shard(shard_id, kind, groups[shard_id])
-        for shard_id in sorted(groups)
-    }
-    return answers, state.reads_since_reset(sorted(groups))
+    return _state().engine._dispatch(kind, batches)
 
 
 def worker_knn(queries: np.ndarray, k: int):
@@ -133,37 +120,24 @@ def worker_knn(queries: np.ndarray, k: int):
         best.sort()
         del best[k:]
         candidates.append(best)
-    return candidates, state.reads_since_reset(state.shard_ids)
+    return candidates, shard_reads(state.index.shards[shard_id] for shard_id in state.shard_ids)
 
 
 # -- writes --------------------------------------------------------------------
 
 
-def _write_bracket(shard_id: int):
-    stats = _state().index.shards[shard_id].stats
-    return int(stats.total_reads), int(stats.physical_reads)
-
-
-def worker_insert(shard_id: int, x: float, y: float):
-    """Apply one insert to the owned shard; returns the read delta."""
+def worker_insert(shard_id: int, x: float, y: float) -> AccessStats:
+    """Apply one insert to the owned shard; returns the reads it cost."""
     state = _state()
-    before_logical, before_physical = _write_bracket(shard_id)
     shard = state.index.shards[shard_id]
+    before = shard.stats.snapshot()
     shard.insert(float(x), float(y), state.index.factory)
-    after_logical, after_physical = _write_bracket(shard_id)
-    return (
-        max(0, after_logical - before_logical),
-        max(0, after_physical - before_physical),
-    )
+    return shard.stats.delta_since(before)
 
 
-def worker_delete(shard_id: int, x: float, y: float):
-    """Apply one delete to the owned shard; returns ``(removed, delta)``."""
-    state = _state()
-    before_logical, before_physical = _write_bracket(shard_id)
-    removed = bool(state.index.shards[shard_id].delete(float(x), float(y)))
-    after_logical, after_physical = _write_bracket(shard_id)
-    return removed, (
-        max(0, after_logical - before_logical),
-        max(0, after_physical - before_physical),
-    )
+def worker_delete(shard_id: int, x: float, y: float) -> tuple[bool, AccessStats]:
+    """Apply one delete to the owned shard; returns ``(removed, reads)``."""
+    shard = _state().index.shards[shard_id]
+    before = shard.stats.snapshot()
+    removed = bool(shard.delete(float(x), float(y)))
+    return removed, shard.stats.delta_since(before)

@@ -14,11 +14,13 @@ shard id, so shard-locality claims ("this window batch only touched two
 shards") stay checkable.  Like the single-index engine it never times a
 request; latency belongs to the caller.
 
-The grouping (:func:`group_by_shard`, :func:`sub_batch`) and the shard-id
-order merge (:func:`merge_shard_answers`) are module functions because the
-process-pool engine (:mod:`repro.serving.engine`) groups and merges its
-batches the same way; its workers answer each sub-batch through
-:meth:`ShardedBatchEngine.run_shard`.
+:meth:`ShardedBatchEngine.execute` is the one request body for both shard
+placements.  It groups, calls :meth:`~ShardedBatchEngine._dispatch` for the
+per-shard answers and read deltas, merges in shard-id order and builds the
+:class:`~repro.storage.stats.AccessSummary` through :func:`shard_access`.
+The process-pool engine (:mod:`repro.serving.engine`) subclasses it and
+replaces only the dispatch: its workers run this class's in-process
+dispatch over the shards they own.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "group_by_shard",
     "merge_shard_answers",
     "request_ops",
+    "shard_access",
+    "shard_reads",
     "sub_batch",
 ]
 
@@ -112,6 +116,35 @@ def merge_shard_answers(kind: str, ops, by_shard: dict, answers: dict) -> list:
     return results
 
 
+def shard_reads(shards) -> dict[int, tuple[int, int]]:
+    """``{shard_id: (logical, physical)}`` of every shard that read since
+    its counters were last reset."""
+    reads = {}
+    for shard in shards:
+        stats = shard.stats
+        logical, physical = stats.total_reads, stats.physical_reads
+        if logical or physical:
+            reads[shard.shard_id] = (logical, physical)
+    return reads
+
+
+def shard_access(reads: dict) -> AccessSummary:
+    """One request's :class:`AccessSummary` from per-shard read deltas.
+
+    ``reads`` maps shard id to ``(logical, physical)``; a shard counts
+    towards the per-shard attribution only when it read logically, while
+    its physical reads (prefetches included) always count.
+    """
+    per_shard = {
+        shard_id: logical for shard_id, (logical, _) in sorted(reads.items()) if logical > 0
+    }
+    return AccessSummary(
+        logical_reads=sum(per_shard.values()),
+        physical_reads=sum(physical for _, physical in reads.values()),
+        per_shard_logical_reads=per_shard,
+    )
+
+
 class ShardedBatchEngine:
     """Execute query batches against a :class:`ShardedSpatialIndex`.
 
@@ -134,10 +167,6 @@ class ShardedBatchEngine:
         caches (mutually exclusive with ``cache_blocks``; see
         :meth:`ShardedSpatialIndex.attach_shared_pool`).  ``shard_budget``
         optionally caps any one shard's pool occupancy.
-    reorder:
-        Forwarded to every per-shard :class:`BatchQueryEngine`: fallback
-        sub-batches execute in Hilbert-key order and scatter back, so one
-        shard's hot blocks fault once per sub-batch.
     """
 
     def __init__(
@@ -148,7 +177,6 @@ class ShardedBatchEngine:
         cache_policy: str = "lru",
         shared_pool=None,
         shard_budget=None,
-        reorder: bool = False,
     ):
         if mode not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {mode!r}; available: {ENGINE_MODES}")
@@ -159,7 +187,6 @@ class ShardedBatchEngine:
         index._require_built()
         self.index = index
         self.mode = mode
-        self.reorder = bool(reorder)
         if cache_blocks is not None and shared_pool is not None:
             raise ValueError("pass either cache_blocks or shared_pool, not both")
         if cache_blocks is not None:
@@ -176,23 +203,41 @@ class ShardedBatchEngine:
         """Execute one :class:`~repro.analytics.ops.QueryRequest`.
 
         The one entry point (same protocol as :class:`BatchQueryEngine`):
-        the batch is grouped per shard, each shard answers its sub-batch
-        through :meth:`run_shard`, and per-op values scatter back to
-        request order.  Aggregate requests merge per-shard *partials* in
-        shard-id order at this router — point sets never cross the shard
-        boundary.
+        the batch is grouped per shard with the index's current router,
+        :meth:`_dispatch` answers every shard's sub-batch, and per-op values
+        scatter back to request order.  Aggregate requests merge per-shard
+        *partials* in shard-id order at this router — point sets never
+        cross the shard boundary.
         """
-        self.index.stats.reset()
+        index = self.index
+        index.stats.reset()
         if request.kind == "knn":
             return self._run_knn(request.points, request.k)
         kind = request.kind
         ops = request_ops(request)
-        by_shard = group_by_shard(self.index.router, kind, ops)
-        answers = {
-            shard_id: self.run_shard(shard_id, kind, sub_batch(kind, ops, by_shard[shard_id]))
-            for shard_id in sorted(by_shard)
+        by_shard = group_by_shard(index.router, kind, ops)
+        batches = {
+            shard_id: sub_batch(kind, ops, by_shard[shard_id]) for shard_id in sorted(by_shard)
         }
-        return self._finalize(kind, merge_shard_answers(kind, ops, by_shard, answers))
+        answers, reads = self._dispatch(kind, batches)
+        return QueryResult(
+            kind=kind,
+            values=merge_shard_answers(kind, ops, by_shard, answers),
+            access=shard_access(reads),
+        )
+
+    def _dispatch(self, kind: str, batches: dict) -> tuple[dict, dict]:
+        """Answer ``{shard_id: ops}`` sub-batches in this process.
+
+        Returns ``(answers, reads)``: ``answers[shard_id]`` lines up with
+        that shard's ops, and ``reads`` holds the touched shards'
+        ``(logical, physical)`` read deltas (see :func:`shard_reads`).
+        """
+        answers = {
+            shard_id: self.run_shard(shard_id, kind, ops) for shard_id, ops in batches.items()
+        }
+        shards = self.index.shards
+        return answers, shard_reads(shards[shard_id] for shard_id in batches)
 
     def run_shard(self, shard_id: int, kind: str, ops) -> list:
         """One shard's answers to its sub-batch of ``kind`` ops, in op order.
@@ -231,7 +276,10 @@ class ShardedBatchEngine:
         """kNN queries via the index's best-first shard expansion per query."""
         queries = np.asarray(queries, dtype=float).reshape(-1, 2)
         knn_query = self.index.knn_query
-        return self._finalize("knn", [knn_query(x, y, k) for x, y in queries.tolist()])
+        values = [knn_query(x, y, k) for x, y in queries.tolist()]
+        return QueryResult(
+            kind="knn", values=values, access=shard_access(shard_reads(self.index.shards))
+        )
 
     # ------------------------------------------------------------------ plumbing --
 
@@ -242,23 +290,9 @@ class ShardedBatchEngine:
         cached = self._engines.get(shard_id)
         if cached is not None and cached[0] == id(shard.index):
             return cached[1]
-        engine = BatchQueryEngine(shard.index, mode=self.mode, reorder=self.reorder)
+        engine = BatchQueryEngine(shard.index, mode=self.mode)
         self._engines[shard_id] = (id(shard.index), engine)
         return engine
-
-    def _finalize(self, kind: str, results: list) -> QueryResult:
-        """The merged values plus every shard's reads since its last reset."""
-        per_shard = {
-            shard.shard_id: shard.stats.total_reads
-            for shard in self.index.shards
-            if shard.stats.total_reads > 0
-        }
-        access = AccessSummary(
-            logical_reads=sum(per_shard.values()),
-            physical_reads=sum(shard.stats.physical_reads for shard in self.index.shards),
-            per_shard_logical_reads=per_shard,
-        )
-        return QueryResult(kind=kind, values=results, access=access)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

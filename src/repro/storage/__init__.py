@@ -20,9 +20,9 @@ storage layer in main memory:
   :class:`~repro.storage.buffer_pool.PoolClient` façades, with TinyLFU
   (frequency-sketch) admission, non-harmful prefetch along overflow chains
   and layout runs, and optional per-client budgets,
-* :mod:`~repro.storage.layout` — Hilbert block-layout primitives: curve
-  keys for sorting points before packing, and the contiguous key runs a
-  window decomposes into (what makes run-scanning a Hilbert layout pay),
+* :mod:`~repro.storage.layout` — Hilbert block-layout primitives: the
+  contiguous key runs a window decomposes into (what makes run-scanning a
+  Hilbert layout pay),
 * :class:`~repro.storage.paged.NodePager` — the paged-access façade that
   gives node-based indices (Grid file, K-D-B-tree, the R-trees) stable page
   ids and the same cache-aware accounting as ``BlockStore``,
@@ -49,8 +49,6 @@ from repro.storage.buffer_pool import (
 )
 from repro.storage.layout import (
     count_key_runs,
-    curve_keys,
-    hilbert_sort_order,
     window_key_runs,
 )
 from repro.storage.durability import (
@@ -85,8 +83,6 @@ __all__ = [
     "RecoveryReport",
     "STORAGE_BACKENDS",
     "storage_root",
-    "curve_keys",
-    "hilbert_sort_order",
     "window_key_runs",
     "count_key_runs",
 ]

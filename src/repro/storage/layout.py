@@ -1,20 +1,13 @@
-"""Curve-aware physical layout: Hilbert keys and window run decomposition.
+"""Curve-aware physical layout: window run decomposition.
 
 The paper's cost metric is blocks touched per query, and for a linear block
 layout that number is decided by how well the ordering clusters co-accessed
-points.  This module provides the layout primitives shared by the indices,
-the sharded engine and the batch engines:
-
-* :func:`curve_keys` — vectorised curve keys (Hilbert by default) of raw
-  points over a data space, used to sort points before
-  :meth:`~repro.storage.block_store.BlockStore.pack_points` and to group a
-  batch's queries by their predicted block neighbourhood.
-* :func:`window_key_runs` — the contiguous key intervals a window decomposes
-  into.  A rectangular window touches the curve in several disjoint
-  segments; scanning per segment instead of the whole ``[min, max]`` key
-  span is what makes a Hilbert layout pay off (the Hilbert curve's span over
-  a window is *wider* than Z-order's, but it decomposes into ~40% fewer
-  contiguous runs — measured by ``bench_block_cache.py``).
+points.  :func:`window_key_runs` gives the contiguous key intervals a window
+decomposes into.  A rectangular window touches the curve in several disjoint
+segments; scanning per segment instead of the whole ``[min, max]`` key span
+is what makes a Hilbert layout pay off (the Hilbert curve's span over a
+window is *wider* than Z-order's, but it decomposes into ~40% fewer
+contiguous runs — measured by ``bench_block_cache.py``).
 
 Run decomposition works at a configurable **coarse order**: because both
 shipped curves are recursively self-similar, the fine keys inside one coarse
@@ -27,26 +20,17 @@ cells.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
 from repro.curves import SpaceFillingCurve, curve_by_name
 from repro.geometry import Rect
 
 __all__ = [
-    "DEFAULT_LAYOUT_ORDER",
     "DEFAULT_RUN_ORDER",
     "curve_cells",
-    "curve_keys",
-    "hilbert_sort_order",
     "window_key_runs",
     "count_key_runs",
 ]
-
-#: curve order used when sorting points for a block layout (2^10 cells/axis
-#: distinguishes ~1M positions per dimension — finer than any block grid here)
-DEFAULT_LAYOUT_ORDER = 10
 
 #: coarse order of :func:`window_key_runs`: a 128x128 coarse grid keeps the
 #: enumeration cheap (<= 16384 cells for a full-space window) while splitting
@@ -66,45 +50,6 @@ def curve_cells(points: np.ndarray, data_space: Rect, side: int) -> tuple[np.nda
     return cx, cy
 
 
-def _as_curve(curve: Union[SpaceFillingCurve, str], order: int) -> SpaceFillingCurve:
-    if isinstance(curve, str):
-        return curve_by_name(curve, order)
-    return curve
-
-
-def curve_keys(
-    points: np.ndarray,
-    data_space: Optional[Rect] = None,
-    curve: Union[SpaceFillingCurve, str] = "hilbert",
-    order: int = DEFAULT_LAYOUT_ORDER,
-) -> np.ndarray:
-    """Curve key of every point over ``data_space`` (int64, vectorised).
-
-    ``data_space`` of None uses the points' own bounding box, so a stand-alone
-    sort (e.g. batch reordering) needs no extra context.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    if data_space is None:
-        if points.shape[0] == 0:
-            data_space = Rect.unit()
-        else:
-            lo = points.min(axis=0)
-            hi = points.max(axis=0)
-            data_space = Rect(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-    curve = _as_curve(curve, order)
-    cx, cy = curve_cells(points, data_space, curve.side)
-    return curve.encode_many(cx, cy)
-
-
-def hilbert_sort_order(
-    points: np.ndarray,
-    data_space: Optional[Rect] = None,
-    order: int = DEFAULT_LAYOUT_ORDER,
-) -> np.ndarray:
-    """Stable permutation sorting ``points`` into Hilbert-key order."""
-    return np.argsort(curve_keys(points, data_space, "hilbert", order), kind="stable")
-
-
 def window_key_runs(
     curve: SpaceFillingCurve,
     window: Rect,
@@ -119,7 +64,7 @@ def window_key_runs(
     coarse granularity.
     """
     coarse_order = max(1, min(coarse_order, curve.order))
-    coarse = _as_curve(curve.name, coarse_order)
+    coarse = curve_by_name(curve.name, coarse_order)
     side = coarse.side
     corners = np.array(
         [[window.xlo, window.ylo], [window.xhi, window.yhi]], dtype=float

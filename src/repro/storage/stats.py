@@ -88,6 +88,15 @@ class AccessStats:
         logical = self.logical_reads
         return self.cache_hits / logical if logical > 0 else 0.0
 
+    def add(self, other: "AccessStats") -> None:
+        """Accumulate ``other``'s counters (e.g. a delta measured elsewhere)."""
+        self.block_reads += other.block_reads
+        self.block_writes += other.block_writes
+        self.node_reads += other.node_reads
+        self.physical_block_reads += other.physical_block_reads
+        self.physical_node_reads += other.physical_node_reads
+        self.prefetch_block_reads += other.prefetch_block_reads
+
     def reset(self) -> None:
         self.block_reads = 0
         self.block_writes = 0

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from repro.analytics.attributes import attribute_value
-from repro.analytics.ops import QueryRequest, quantile_rank_distance
+from repro.analytics.ops import quantile_rank_distance
 from repro.baselines.interface import SpatialIndex
 from repro.engine import BatchQueryEngine
 from repro.evaluation.metrics import knn_recall, window_recall
@@ -56,7 +56,7 @@ from repro.workloads.latency import (
 )
 from repro.workloads.oracle import OracleIndex
 from repro.workloads.spec import ScenarioSpec
-from repro.workloads.stream import Operation, generate_operations
+from repro.workloads.stream import Operation, generate_operations, read_requests
 
 __all__ = ["ScenarioMismatch", "ScenarioSnapshot", "ScenarioResult", "ScenarioRunner"]
 
@@ -176,7 +176,13 @@ class ScenarioRunner:
     index:
         The index under test: any
         :class:`~repro.baselines.interface.SpatialIndex` kind, a sharded
-        index, or either behind a :class:`~repro.storage.DurableIndex`.
+        index, or either behind a :class:`~repro.storage.DurableIndex`.  A
+        process-pool :class:`~repro.serving.ParallelShardEngine` is its own
+        index and serves the reads itself; it takes the stream's writes
+        (routing them to the owning worker), bills their reads to its
+        ``stats``, and cannot be combined with ``rebalancer`` (worker
+        processes hold the shard state; the controller could only migrate
+        the parent's copy).
     spec:
         The scenario to run.
     oracle:
@@ -192,10 +198,6 @@ class ScenarioRunner:
     engine_mode / batch_size:
         Execution mode for the read engine and the maximum number of reads
         batched between writes/snapshots.
-    batch_reorder:
-        Execute read micro-batches in Hilbert-key order (results scatter
-        back, answers unchanged — see
-        :class:`~repro.engine.BatchQueryEngine`'s ``reorder``).
     rebalancer:
         Optional :class:`~repro.sharding.RebalanceController` over the
         (inner) sharded index.  The runner feeds it every batch's per-shard
@@ -203,16 +205,6 @@ class ScenarioRunner:
         and each write, so shard migrations interleave with the stream —
         reads race the swap, writes land in splitting shards — while the
         oracle checks keep asserting answer identity.
-    engine:
-        Optional pre-built batch engine overriding the automatic choice —
-        this is how the process-pool
-        :class:`~repro.serving.ParallelShardEngine` drops into scenario
-        runs.  An engine advertising ``applies_writes`` also absorbs the
-        stream's writes (routing them to the owning worker) and is billed
-        through its ``pop_write_accesses()``; pass the engine itself as
-        ``index`` in that case.  Incompatible with ``rebalancer`` (worker
-        processes hold the shard state; the controller could only migrate
-        the parent's copy).
     """
 
     def __init__(
@@ -224,9 +216,7 @@ class ScenarioRunner:
         exact_results: Optional[bool] = None,
         engine_mode: str = "auto",
         batch_size: int = 64,
-        batch_reorder: bool = False,
         rebalancer=None,
-        engine=None,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -236,28 +226,21 @@ class ScenarioRunner:
         if exact_results is None:
             exact_results = index.supports_exact_results
         self.exact_results = bool(exact_results)
-        if engine is not None:
+        # a DurableIndex serves reads straight from the index it wraps (only
+        # writes need the WAL, and those go through self.index.insert/delete)
+        served = _served(index)
+        if isinstance(served, ShardedBatchEngine):
             if rebalancer is not None:
                 raise ValueError(
-                    "an injected engine cannot be combined with a rebalancer"
+                    "a process-pool engine cannot be combined with a rebalancer"
                 )
-            self.engine = engine
+            self.engine = served
+        elif isinstance(served, ShardedSpatialIndex):
+            # sharded indices batch through the shard-grouping dispatcher so
+            # every read still fans out to the minimal shard set
+            self.engine = ShardedBatchEngine(served, mode=engine_mode)
         else:
-            # a DurableIndex serves reads straight from the index it wraps
-            # (only writes need the WAL, and those go through
-            # self.index.insert/delete)
-            served = _served(index)
-            if isinstance(served, ShardedSpatialIndex):
-                # sharded indices batch through the shard-grouping dispatcher
-                # so every read still fans out to the minimal shard set
-                self.engine = ShardedBatchEngine(
-                    served, mode=engine_mode, reorder=batch_reorder
-                )
-            else:
-                self.engine = BatchQueryEngine(
-                    served, mode=engine_mode, reorder=batch_reorder
-                )
-        self._engine_writes = bool(getattr(self.engine, "applies_writes", False))
+            self.engine = BatchQueryEngine(served, mode=engine_mode)
         self.batch_size = batch_size
         self._rebalancer = rebalancer
         self._name = getattr(index, "name", None) or type(index).__name__
@@ -347,57 +330,16 @@ class ScenarioRunner:
         ops = list(pending)
         pending.clear()
         services = [0.0] * len(ops)
-        by_kind: dict[str, list[int]] = {
-            "point": [],
-            "window": [],
-            "knn": [],
-            "aggregate": [],
-        }
-        for position, op in enumerate(ops):
-            by_kind[op.kind].append(position)
-
-        positions = by_kind["point"]
-        if positions:
-            queries = np.asarray([(ops[p].x, ops[p].y) for p in positions], dtype=float)
-            request = QueryRequest.for_points(queries)
-            result, per_op = self._timed(lambda: self.engine.execute(request), positions)
+        for positions, request in read_requests(ops):
+            started = time.perf_counter()
+            result = self.engine.execute(request)
+            per_op = (time.perf_counter() - started) / len(positions)
             self._account(result, interval)
             for p in positions:
                 services[p] = per_op
             if self.oracle is not None:
-                for p, found in zip(positions, result.values):
-                    self._check_point(ops[p], bool(found))
-        positions = by_kind["window"]
-        if positions:
-            request = QueryRequest.for_windows([ops[p].window for p in positions])
-            result, per_op = self._timed(lambda: self.engine.execute(request), positions)
-            self._account(result, interval)
-            for p in positions:
-                services[p] = per_op
-            if self.oracle is not None:
-                for p, reported in zip(positions, result.values):
-                    self._check_window(ops[p], reported, interval)
-        positions = by_kind["knn"]
-        if positions:
-            queries = np.asarray([(ops[p].x, ops[p].y) for p in positions], dtype=float)
-            request = QueryRequest.for_knn(queries, self.spec.k)
-            result, per_op = self._timed(lambda: self.engine.execute(request), positions)
-            self._account(result, interval)
-            for p in positions:
-                services[p] = per_op
-            if self.oracle is not None:
-                for p, reported in zip(positions, result.values):
-                    self._check_knn(ops[p], reported, interval)
-        positions = by_kind["aggregate"]
-        if positions:
-            request = QueryRequest.for_aggregates([ops[p].agg for p in positions])
-            result, per_op = self._timed(lambda: self.engine.execute(request), positions)
-            self._account(result, interval)
-            for p in positions:
-                services[p] = per_op
-            if self.oracle is not None:
-                for p, outcome in zip(positions, result.values):
-                    self._check_aggregate(ops[p], outcome)
+                for p, value in zip(positions, result.values):
+                    self._check(ops[p], value, interval)
 
         # the flushed reads re-enter the virtual timeline in stream order
         for op, service in zip(ops, services):
@@ -406,13 +348,6 @@ class ScenarioRunner:
             # one control step per flushed batch: migrations advance stage by
             # stage between batches, so later reads genuinely race the swap
             self._rebalancer.tick()
-
-    @staticmethod
-    def _timed(run, positions):
-        """Run one engine batch, returning it plus its per-op wall seconds."""
-        started = time.perf_counter()
-        batch = run()
-        return batch, (time.perf_counter() - started) / max(len(positions), 1)
 
     def _account(self, result, interval: _IntervalAccumulator) -> None:
         """Fold one request's unified access summary into the interval/run totals."""
@@ -448,30 +383,6 @@ class ScenarioRunner:
     # -- writes ---------------------------------------------------------------
 
     def _apply_write(self, op: Operation, interval: _IntervalAccumulator) -> None:
-        if self._engine_writes:
-            # write-applying engines (the process pool) route the write to
-            # the owning worker themselves and report its access deltas
-            started = time.perf_counter()
-            if op.kind == "insert":
-                self.engine.insert(op.x, op.y)
-            else:
-                removed = bool(self.engine.delete(op.x, op.y))
-            service = time.perf_counter() - started
-            logical, physical = self.engine.pop_write_accesses()
-            if self.oracle is not None:
-                if op.kind == "insert":
-                    self._oracle_write(op)
-                else:
-                    expected = self._oracle_write(op)
-                    if removed != expected:
-                        raise ScenarioMismatch(
-                            f"{self._name}: delete({op.x}, {op.y}) returned "
-                            f"{removed}, oracle says {expected}"
-                        )
-            interval.block_accesses += logical
-            interval.physical_accesses += physical
-            self._observe_latency(op, service, interval)
-            return
         stats = self.index.stats
         before = stats.total_reads
         before_physical = stats.physical_reads
@@ -513,6 +424,17 @@ class ScenarioRunner:
         return self.oracle.delete(op.x, op.y)
 
     # -- oracle agreement -----------------------------------------------------
+
+    def _check(self, op: Operation, value, interval: _IntervalAccumulator) -> None:
+        """Check one read's answer against the oracle, by operation kind."""
+        if op.kind == "point":
+            self._check_point(op, bool(value))
+        elif op.kind == "window":
+            self._check_window(op, value, interval)
+        elif op.kind == "knn":
+            self._check_knn(op, value, interval)
+        else:
+            self._check_aggregate(op, value)
 
     def _check_point(self, op: Operation, found: bool) -> None:
         expected = self.oracle.contains(op.x, op.y)

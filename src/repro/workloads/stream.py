@@ -19,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analytics.ops import AggregateSpec
+from repro.analytics.ops import AggregateSpec, QueryRequest
 from repro.geometry import Rect
 from repro.workloads.pointset import LivePointSet
 from repro.workloads.spec import OPERATION_KINDS, ScenarioSpec
 
-__all__ = ["Operation", "generate_operations", "generate_arrival_schedule"]
+__all__ = ["Operation", "generate_operations", "generate_arrival_schedule", "read_requests"]
 
 
 @dataclass(frozen=True)
@@ -278,3 +278,40 @@ def generate_operations(spec: ScenarioSpec, initial_points: np.ndarray) -> list[
                 state.mirror.discard((x, y))
             operations.append(Operation("delete", x, y, arrival_time=at))
     return operations
+
+
+_READ_ORDER = ("point", "window", "knn", "aggregate")
+
+
+def read_requests(ops: list[Operation]) -> list[tuple[list[int], QueryRequest]]:
+    """One :class:`QueryRequest` per read kind present in ``ops``.
+
+    Returns ``(positions, request)`` pairs in point, window, kNN, aggregate
+    order; ``positions`` are the indices into ``ops`` the request's values
+    answer, in stream order.  Writes are skipped.  kNN ops get one request
+    per distinct ``k``, in order of first appearance (a generated stream
+    gives every kNN op the spec's ``k``, so one request).
+    """
+    groups: dict[tuple[str, int], list[int]] = {}
+    for position, op in enumerate(ops):
+        if op.kind in _READ_ORDER:
+            key = (op.kind, op.k if op.kind == "knn" else 0)
+            groups.setdefault(key, []).append(position)
+    requests = []
+    # stable sort: kNN groups keep their first-appearance order
+    for (kind, k), positions in sorted(
+        groups.items(), key=lambda item: _READ_ORDER.index(item[0][0])
+    ):
+        picked = [ops[p] for p in positions]
+        if kind == "window":
+            request = QueryRequest.for_windows([op.window for op in picked])
+        elif kind == "aggregate":
+            request = QueryRequest.for_aggregates([op.agg for op in picked])
+        else:
+            keys = np.asarray([(op.x, op.y) for op in picked], dtype=float)
+            if kind == "point":
+                request = QueryRequest.for_points(keys)
+            else:
+                request = QueryRequest.for_knn(keys, k)
+        requests.append((positions, request))
+    return requests

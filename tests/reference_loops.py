@@ -1,11 +1,11 @@
-"""Batch query helpers.
+"""Sequential reference loops the engines are checked against.
 
-The query algorithms of the paper are defined per query; applications such as
-map tile rendering or analytics jobs issue them in large batches.  These
-helpers run whole workloads against one
+The query algorithms of the paper are defined per query.  These helpers run
+a whole workload one query at a time against one
 :class:`~repro.baselines.interface.SpatialIndex` and collect the results and
-the batch's block-access total in a single call.  Passing an
-:class:`~repro.core.rsmi.RSMIa` selects the exact window/kNN algorithms.
+the batch's block-access total, which is what the batched engines' answers
+and reads are compared with.  Passing an :class:`~repro.core.rsmi.RSMIa`
+selects the exact window/kNN algorithms.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ __all__ = [
 
 @dataclass
 class BatchResult:
-    """Results of one sequential reference batch (the helpers below).
-
-    The engines return :class:`~repro.analytics.ops.QueryResult`; these
-    per-query loops are what their answers and block reads are checked
-    against.
-    """
+    """Results of one sequential reference batch (the helpers below)."""
 
     #: one entry per query, in input order
     results: list = field(default_factory=list)

@@ -70,7 +70,6 @@ class TestTopLevelApi:
             "ExtendedObjectIndex",
             "save_index",
             "load_index",
-            "batch_point_queries",
         ):
             assert name in core.__all__
 
@@ -126,7 +125,8 @@ class TestIndexProtocol:
             assert type(index).supports_exact_results is (name in EXACT_KINDS), name
 
     @pytest.mark.parametrize(
-        "relative", ["engine/engine.py", "core/batch.py", "sharding/engine.py"]
+        "relative",
+        ["engine/engine.py", "sharding/engine.py", "serving/engine.py", "serving/frontdoor.py"],
     )
     def test_dispatch_layers_have_no_attribute_probes(self, relative):
         source = (SRC / relative).read_text()

@@ -428,37 +428,6 @@ def test_sharded_answers_identical_pool_vs_private_caches():
     assert pooled_index.shared_pool.accesses > 0
 
 
-def test_batch_reorder_answers_identical():
-    """Hilbert batch reordering permutes execution order only: point, window
-    and knn results come back in input order, byte-identical."""
-    points = dataset_by_name("skewed", 400, seed=33)
-    rng = np.random.default_rng(19)
-    queries = np.vstack([points[rng.integers(0, 400, size=100)], rng.random((30, 2))])
-    windows = []
-    for _ in range(30):
-        lo = rng.random(2) * 0.8
-        extent = 0.02 + rng.random(2) * 0.2
-        windows.append(Rect(lo[0], lo[1], lo[0] + extent[0], lo[1] + extent[1]))
-
-    for name in ("Grid", "KDB", "ZM"):
-        plain = BatchQueryEngine(_build_index(name, points), mode="sequential")
-        ordered = BatchQueryEngine(
-            _build_index(name, points), mode="sequential", reorder=True
-        )
-        point_request = QueryRequest.for_points(queries)
-        assert ordered.execute(point_request).values == plain.execute(point_request).values
-        for a, b in zip(
-            ordered.execute(QueryRequest.for_windows(windows)).values,
-            plain.execute(QueryRequest.for_windows(windows)).values,
-        ):
-            np.testing.assert_array_equal(np.sort(a, axis=0), np.sort(b, axis=0))
-        for a, b in zip(
-            ordered.execute(QueryRequest.for_knn(queries[:25], 4)).values,
-            plain.execute(QueryRequest.for_knn(queries[:25], 4)).values,
-        ):
-            np.testing.assert_array_equal(np.sort(a, axis=0), np.sort(b, axis=0))
-
-
 @pytest.mark.slow
 def test_drifting_tinylfu_pool_beats_private_lru_at_equal_capacity():
     """--runslow: under a drifting hotspot, one shared TinyLFU pool must

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import batch_knn_queries, batch_point_queries, batch_window_queries
+from tests.reference_loops import batch_knn_queries, batch_point_queries, batch_window_queries
 from repro.evaluation.adapters import build_index_suite
 from repro.geometry import Rect
 from repro.queries import brute_force_window, generate_window_queries

@@ -6,10 +6,13 @@ documentation fails tier-1 locally — the CI docs-hygiene step runs the
 same checks through ``tools/check_docs.py``.
 """
 
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.experiments.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +54,38 @@ class TestReadme:
     def test_quickstart_block_executes_verbatim(self, block_index, capsys):
         source = README_BLOCKS[block_index]
         exec(compile(source, f"README.md#python-block-{block_index}", "exec"), {})
+
+
+def readme_cli_commands(text: str) -> list[str]:
+    """Every ``python -m repro.experiments.cli ...`` command in ``text``,
+    backslash continuations joined."""
+    commands = []
+    for line in text.replace("\\\n", " ").splitlines():
+        _, marker, args = line.partition("python -m repro.experiments.cli")
+        if marker:
+            commands.append(args.strip())
+    return commands
+
+
+README_CLI = readme_cli_commands((REPO_ROOT / "README.md").read_text(encoding="utf-8"))
+CI_CLI = readme_cli_commands(
+    (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+)
+
+
+class TestReadmeCli:
+    def test_readme_documents_cli_commands(self):
+        assert len(README_CLI) >= 10
+
+    @pytest.mark.parametrize("args", README_CLI)
+    def test_cli_command_parses(self, args):
+        """Parse only: a flag deleted from the CLI cannot linger in the docs."""
+        build_parser().parse_args(shlex.split(args))
+
+    @pytest.mark.parametrize("args", CI_CLI)
+    def test_ci_cli_command_parses(self, args):
+        """Parse only: a flag deleted from the CLI cannot linger in a CI step."""
+        build_parser().parse_args(shlex.split(args))
 
 
 class TestExamplesImport:

@@ -5,7 +5,7 @@ Randomized point / window / kNN workloads run through
 indices (Grid, KDB, RR*, ZM) over three data distributions, asserting
 
 * **exact agreement** with the existing sequential query paths (the
-  per-query loops in :mod:`repro.core.batch`) for every index and query
+  per-query loops in :mod:`tests.reference_loops`) for every index and query
   type — the engine must be a pure execution-strategy change, and
 * consistency with :mod:`repro.queries.ground_truth`: point-query answers
   equal set membership; window/kNN answers equal brute force for the exact
@@ -23,7 +23,7 @@ import pytest
 
 from repro.analytics import QueryRequest
 from repro.core import RSMIa, RSMIConfig
-from repro.core.batch import batch_knn_queries, batch_point_queries, batch_window_queries
+from tests.reference_loops import batch_knn_queries, batch_point_queries, batch_window_queries
 from repro.engine import ENGINE_MODES, BatchQueryEngine
 from repro.datasets import dataset_by_name
 from repro.evaluation.adapters import build_index_suite

@@ -14,7 +14,7 @@ import pytest
 from repro.analytics import QueryRequest
 from repro.baselines import GridFile
 from repro.core import RSMI, RSMIConfig
-from repro.core.batch import batch_point_queries, batch_window_queries
+from tests.reference_loops import batch_point_queries, batch_window_queries
 from repro.engine import BatchQueryEngine
 from repro.datasets import dataset_by_name
 from repro.geometry import Rect

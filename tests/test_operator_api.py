@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import AggregateSpec, QueryRequest, QueryResult, exact_aggregate
-from repro.core.batch import batch_knn_queries, batch_point_queries, batch_window_queries
+from tests.reference_loops import batch_knn_queries, batch_point_queries, batch_window_queries
 from repro.engine import BatchQueryEngine
 from repro.evaluation.adapters import build_index_suite
 from repro.geometry import Rect

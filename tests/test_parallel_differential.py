@@ -33,7 +33,7 @@ EXACT_KINDS = ("Grid", "KDB", "RSMIa")
 WORKER_COUNTS = (1, 2, 4)
 
 
-def build_spec(kind, policy="grid", n_shards=4, n_points=350, seed=31):
+def build_spec(kind, policy="grid", n_shards=4, n_points=350, seed=31, cache_blocks=None):
     points = dataset_by_name("skewed", n_points, seed=seed)
     factory = shard_index_factory(
         kind,
@@ -42,7 +42,7 @@ def build_spec(kind, policy="grid", n_shards=4, n_points=350, seed=31):
         training=FAST_TRAINING,
     )
     spec = ServingSpec.from_points(
-        factory, points, n_shards=n_shards, policy=policy, name=kind
+        factory, points, n_shards=n_shards, policy=policy, name=kind, cache_blocks=cache_blocks
     )
     return spec, points
 
@@ -115,29 +115,46 @@ def test_policies_identical(policy):
         assert_identical(engine, reference, points)
 
 
+def test_in_process_only_steps_are_refused():
+    """The parent holds no shards: the inherited per-shard steps and a
+    rebalancer (which could only migrate the parent's copy) are refused
+    up front."""
+    spec, _ = build_spec("Grid")
+    with ParallelShardEngine(spec, n_workers=1) as engine:
+        with pytest.raises(TypeError, match="worker processes"):
+            engine.run_shard(0, "point", np.zeros((1, 2)))
+        with pytest.raises(TypeError, match="worker processes"):
+            engine.engine_for(0)
+        with pytest.raises(ValueError, match="rebalancer"):
+            ScenarioRunner(engine, scenario_by_name("sharded-mixed"), rebalancer=object())
+
+
 def test_writes_fan_out_and_are_billed():
-    """Inserts/deletes land in the owning worker, billed like a direct index."""
-    spec, points = build_spec("Grid")
+    """Every insert and delete lands in the owning worker and bills the
+    engine's ``stats`` exactly what the same write costs an in-process
+    index built from the same spec.  Small shard caches make a write's
+    physical reads differ from its logical ones."""
+    spec, points = build_spec("Grid", cache_blocks=8)
     index = spec.build_index()
 
-    def total_reads():
-        return sum(int(shard.stats.total_reads) for shard in index.shards)
+    def bracket(target, write, x, y):
+        """``(outcome, (logical, physical))`` of one write on ``target``."""
+        stats = target.stats
+        logical, physical = stats.total_reads, stats.physical_reads
+        outcome = getattr(target, write)(x, y)
+        return outcome, (stats.total_reads - logical, stats.physical_reads - physical)
 
-    rng = np.random.default_rng(11)
-    extra = rng.random((40, 2))
+    extra = np.random.default_rng(11).random((40, 2)).tolist()
+    writes = [("insert", x, y) for x, y in extra]
+    writes += [("delete", x, y) for x, y in points[:20].tolist() + extra[:10]]
+    writes.append(("delete", -0.5, -0.5))
     with ParallelShardEngine(spec, n_workers=2) as engine:
-        before = total_reads()
-        for x, y in extra:
-            engine.insert(float(x), float(y))
-            index.insert(float(x), float(y))
-        logical, physical = engine.pop_write_accesses()
-        # same billing a single-process index records for the same writes
-        assert logical == total_reads() - before
-        assert engine.pop_write_accesses() == (0, 0)  # pop drains the counters
+        billed = [bracket(engine, write, x, y) for write, x, y in writes]
+        assert billed == [bracket(index, write, x, y) for write, x, y in writes]
+        assert all(removed for removed, _ in billed[40:-1]) and not billed[-1][0]
+        # the caches make some writes cheaper physically than logically
+        assert any(physical < logical for _, (logical, physical) in billed)
         assert engine.n_points == index.n_points
-        removed = engine.delete(float(extra[0, 0]), float(extra[0, 1]))
-        assert removed and index.delete(float(extra[0, 0]), float(extra[0, 1]))
-        assert not engine.delete(-0.5, -0.5)
         assert_identical(engine, ShardedBatchEngine(index), points, seed=13)
 
 
@@ -199,7 +216,6 @@ def replay_pair(kind, operations, points, spec):
             spec,
             oracle=OracleIndex().build(points),
             exact_results=True,
-            engine=engine,
         )
         parallel = runner.replay(list(operations))
 

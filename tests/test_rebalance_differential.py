@@ -6,7 +6,7 @@ shards that are mid-split and travel through the rescue buffer.  These
 tests replay the ``drifting`` and ``bulk-churn`` scenarios through
 :func:`repro.workloads.run_rebalance_fuzz`, which shadows every operation
 with the brute-force :class:`OracleIndex` — for every kind in
-``EXACT_RESULT_INDICES`` with **exact-agreement** assertions — and raises
+``EXACT_KINDS`` with **exact-agreement** assertions — and raises
 on vacuous runs (no migration, or no operation racing one).  Tier-1 runs a
 small budget per combination; ``--runslow`` scales the streams up.
 """
@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import dataset_by_name
-from repro.sharding import ShardedSpatialIndex, shard_index_factory
+from repro.sharding import EXACT_KINDS, ShardedSpatialIndex, shard_index_factory
 from repro.workloads import aggressive_config, run_rebalance_fuzz, scenario_by_name
-from repro.experiments.scenario_sweeps import EXACT_RESULT_INDICES
 
 from tests.conftest import FAST_TRAINING
 
@@ -49,13 +48,13 @@ def fuzz(kind, scenario, n_points=400, n_ops=200, seed=7, aggregates=False,
         index,
         spec,
         points,
-        exact=kind in EXACT_RESULT_INDICES,
+        exact=kind in EXACT_KINDS,
         config=aggressive_config(**config_overrides),
     )
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("kind", sorted(EXACT_RESULT_INDICES))
+@pytest.mark.parametrize("kind", sorted(EXACT_KINDS))
 def test_exact_kinds_agree_with_oracle_mid_migration(kind, scenario):
     outcome = fuzz(kind, scenario)
     # the harness raised on any disagreement; assert the run was non-vacuous
@@ -106,7 +105,7 @@ def test_rescued_writes_survive_the_swap():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("kind", sorted(EXACT_RESULT_INDICES))
+@pytest.mark.parametrize("kind", sorted(EXACT_KINDS))
 def test_exact_kinds_large_budget(kind, scenario):
     outcome = fuzz(kind, scenario, n_points=1_200, n_ops=900, seed=3)
     assert outcome.n_migrations >= 1
@@ -122,7 +121,7 @@ def test_seed_sweep_drifting_grid(seed):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("kind", sorted(EXACT_RESULT_INDICES))
+@pytest.mark.parametrize("kind", sorted(EXACT_KINDS))
 def test_aggregates_mid_migration_large_budget(kind, scenario):
     outcome = fuzz(kind, scenario, n_points=1_000, n_ops=700, seed=5,
                    aggregates=True)

@@ -22,6 +22,7 @@ from repro.serving import (
 )
 from repro.sharding import ShardedBatchEngine, shard_index_factory
 from repro.workloads import (
+    Operation,
     generate_operations,
     generate_tenant_operations,
     scenario_by_name,
@@ -210,6 +211,22 @@ class TestAnswersIdentity:
                 np.testing.assert_array_equal(np.asarray(got), want)
             else:
                 assert got == want
+
+
+    def test_writes_to_the_parallel_engine_land_in_the_workers(self):
+        """Inserts and deletes through the door reach the owning worker:
+        later point queries see them, and the engine bills their reads."""
+        inserted = np.random.default_rng(97).random((12, 2))
+        deleted = POINTS[:8]
+        operations = [Operation("insert", float(x), float(y)) for x, y in inserted]
+        operations += [Operation("delete", float(x), float(y)) for x, y in deleted]
+        with ParallelShardEngine(build_spec(), n_workers=2) as engine:
+            report = FrontDoor(engine, collect_answers=True).serve(operations, paced=False)
+            assert report.answers == [None] * len(inserted) + [True] * len(deleted)
+            assert engine.stats.total_reads > 0
+            assert engine.n_points == POINTS.shape[0] + len(inserted) - len(deleted)
+            found = engine.execute(QueryRequest.for_points(np.vstack([inserted, deleted])))
+        assert found.values == [True] * len(inserted) + [False] * len(deleted)
 
 
 class TestPacedMode:

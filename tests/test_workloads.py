@@ -16,6 +16,7 @@ from repro.workloads import (
     generate_operations,
     scenario_by_name,
 )
+from repro.workloads.stream import Operation, read_requests
 
 
 def _points(n=200, seed=0):
@@ -198,6 +199,22 @@ class TestStreamGeneration:
     def test_empty_initial_points_rejected(self):
         with pytest.raises(ValueError):
             generate_operations(scenario_by_name("mixed"), np.empty((0, 2)))
+
+    def test_read_requests_split_knn_ops_by_k(self):
+        ops = [
+            Operation("knn", 0.1, 0.1, k=3),
+            Operation("point", 0.2, 0.2),
+            Operation("knn", 0.3, 0.3, k=5),
+            Operation("insert", 0.4, 0.4),
+            Operation("knn", 0.5, 0.5, k=3),
+        ]
+        requests = read_requests(ops)
+        assert [(positions, request.kind) for positions, request in requests] == [
+            ([1], "point"),
+            ([0, 4], "knn"),
+            ([2], "knn"),
+        ]
+        assert [request.k for _, request in requests[1:]] == [3, 5]
 
 
 class TestOracleIndex:
