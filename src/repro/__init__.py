@@ -200,6 +200,14 @@ on hotspot point batches at a cache ~10% of the block count, and the
 ``cache-sweep`` experiment (CLI: ``--cache-blocks/--cache-policy``) maps
 the full cost curve.
 
+Blocks summarise themselves once: :meth:`~repro.storage.Block.points`
+returns a **read-only** ``(m, 2)`` array shared by every caller until the
+block changes (``append``/``delete``/``bulk_fill`` drop it; arrays handed
+out earlier keep their contents), and :meth:`~repro.storage.Block.mbr` is
+memoised the same way.  Neither memo is pickled.
+:meth:`~repro.storage.BlockStore.read_chain` returns a whole chain's live
+points as one array, with exactly the reads ``iter_chain`` records.
+
 Durable storage & crash recovery
 --------------------------------
 

@@ -345,9 +345,7 @@ class BatchQueryEngine:
         """
         points = cache.get(position)
         if points is None:
-            chunks = [block.points() for block in self._rsmi.store.iter_chain(position)]
-            points = np.vstack(chunks) if chunks else _EMPTY
-            cache[position] = points
+            points = cache[position] = self._rsmi.store.read_chain(position)
         return points
 
     def _chain_holds(
@@ -368,7 +366,9 @@ class BatchQueryEngine:
         seen = probes.get(position, 0)
         if seen < HASH_AFTER_PROBES:
             probes[position] = seen + 1
-            return bool(((points[:, 0] == x) & (points[:, 1] == y)).any())
+            # nearly every probe misses on x alone
+            xs = points[:, 0] == x
+            return bool(xs.any()) and bool((xs & (points[:, 1] == y)).any())
         members = hashed[position] = set(map(tuple, points.tolist()))
         return (x, y) in members
 

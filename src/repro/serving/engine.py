@@ -40,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from repro.analytics.ops import QueryResult
+from repro.geometry import require_finite_point
 from repro.serving import worker as worker_mod
 from repro.serving.spec import ServingSpec
 from repro.sharding.engine import ShardedBatchEngine, shard_access
@@ -211,6 +212,7 @@ class ParallelShardEngine(ShardedBatchEngine):
     def insert(self, x: float, y: float) -> None:
         """Insert through the owning shard's worker."""
         x, y = float(x), float(y)
+        require_finite_point(x, y)
         shard_id = self.router.record_insert(x, y)
         self.stats.add(
             self._pools[shard_id % self.n_workers].submit(
@@ -222,6 +224,7 @@ class ParallelShardEngine(ShardedBatchEngine):
     def delete(self, x: float, y: float) -> bool:
         """Delete through the owning shard's worker."""
         x, y = float(x), float(y)
+        require_finite_point(x, y)
         shard_id = self.router.shard_for_point(x, y)
         removed, reads = self._pools[shard_id % self.n_workers].submit(
             worker_mod.worker_delete, shard_id, x, y

@@ -47,10 +47,7 @@ from repro.storage.buffer_pool import (
     PoolClient,
     SharedBufferPool,
 )
-from repro.storage.layout import (
-    count_key_runs,
-    window_key_runs,
-)
+from repro.storage.layout import window_key_runs
 from repro.storage.durability import (
     STORAGE_BACKENDS,
     DurableIndex,
@@ -84,5 +81,4 @@ __all__ = [
     "STORAGE_BACKENDS",
     "storage_root",
     "window_key_runs",
-    "count_key_runs",
 ]

@@ -10,6 +10,9 @@ from repro.geometry import Rect, mbr_of_points
 
 __all__ = ["Block"]
 
+#: marks the MBR memo as not computed (``None`` is the empty block's MBR)
+_STALE = object()
+
 
 class Block:
     """A disk block holding at most ``capacity`` two-dimensional points.
@@ -17,6 +20,10 @@ class Block:
     Points are stored in insertion order.  Deletions flag a slot rather than
     compacting the block (the paper keeps deleted slots so that the learned
     error bounds stay valid; the slot may later be reused by an insertion).
+
+    The live-point array and the MBR are computed once and memoised until
+    the next ``append``/``delete``/``bulk_fill``; pickling drops the memo,
+    so checkpoints and copies carry the slots only.
     """
 
     def __init__(self, block_id: int, capacity: int, is_overflow: bool = False):
@@ -33,6 +40,12 @@ class Block:
         #: id of the block that precedes / follows this one in curve order
         self.prev_id: Optional[int] = None
         self.next_id: Optional[int] = None
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the memoised live points and MBR (the slots changed)."""
+        self._live: Optional[np.ndarray] = None
+        self._mbr = _STALE
 
     # -- size & occupancy --------------------------------------------------------
 
@@ -57,9 +70,19 @@ class Block:
     # -- contents -----------------------------------------------------------------
 
     def points(self) -> np.ndarray:
-        """Live points as an ``(m, 2)`` array (copy)."""
-        live = ~self._deleted[: self._count]
-        return self._coords[: self._count][live].copy()
+        """Live points as a read-only ``(m, 2)`` array.
+
+        The array is computed once and shared by every caller until the
+        block changes; a mutation builds a new one and leaves arrays handed
+        out earlier as they were.
+        """
+        live = self._live
+        if live is None:
+            n = self._count
+            live = self._coords[:n][~self._deleted[:n]]
+            live.flags.writeable = False
+            self._live = live
+        return live
 
     def all_slots(self) -> np.ndarray:
         """All occupied slots including deleted ones (used by rebuild logic)."""
@@ -72,15 +95,17 @@ class Block:
 
     def mbr(self) -> Optional[Rect]:
         """MBR of the live points, or ``None`` when the block is empty."""
-        live = self.points()
-        if live.shape[0] == 0:
-            return None
-        return mbr_of_points(live)
+        mbr = self._mbr
+        if mbr is _STALE:
+            live = self.points()
+            mbr = self._mbr = mbr_of_points(live) if live.shape[0] else None
+        return mbr
 
     # -- mutation -----------------------------------------------------------------
 
     def append(self, x: float, y: float) -> None:
         """Add a point, reusing a deleted slot if the block is otherwise full."""
+        self._forget()
         if self._count < self.capacity:
             self._coords[self._count] = (x, y)
             self._deleted[self._count] = False
@@ -103,6 +128,7 @@ class Block:
                 f"cannot fill block of capacity {self.capacity} with {points.shape[0]} points"
             )
         count = points.shape[0]
+        self._forget()
         self._coords[:count] = points
         self._deleted[:count] = False
         self._count = count
@@ -125,11 +151,27 @@ class Block:
         if slots.size == 0:
             return False
         self._deleted[slots[0]] = True
+        self._forget()
         return True
 
     def contains(self, x: float, y: float) -> bool:
         """True when a live point equal to ``(x, y)`` is stored in this block."""
+        # nearly every probe misses on x alone; only an x match pays for
+        # the full compare
+        if not (self._coords[: self._count, 0] == x).any():
+            return False
         return bool(self._matches(x, y).any())
+
+    # -- persistence: the memo is never pickled ---------------------------------
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_live"], state["_mbr"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._forget()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "overflow" if self.is_overflow else "base"

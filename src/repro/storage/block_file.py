@@ -148,36 +148,33 @@ class BlockFile:
 
     def read_block(self, block_id: int) -> Block:
         """Deserialise the record for ``block_id``, verifying its checksum."""
-        self._handle.seek(self._offset(block_id))
-        record = self._handle.read(self.record_size)
-        if len(record) < self.record_size:
+        size = self.record_size
+        record = os.pread(self._handle.fileno(), size, self._offset(block_id))
+        if len(record) < size:
             raise BlockFileError(
                 f"{self.path}: record for block {block_id} is truncated "
-                f"({len(record)}/{self.record_size} bytes)"
+                f"({len(record)}/{size} bytes)"
             )
-        payload, crc_raw = record[: -_CRC.size], record[-_CRC.size :]
-        (expected,) = _CRC.unpack(crc_raw)
-        if zlib.crc32(payload) != expected:
+        body = size - _CRC.size
+        if zlib.crc32(memoryview(record)[:body]) != _CRC.unpack_from(record, body)[0]:
             raise BlockFileError(
                 f"{self.path}: record for block {block_id} fails its checksum "
                 f"(torn write or corruption)"
             )
-        flags, count, prev_id, next_id = _RECORD_PREFIX.unpack_from(payload)
-        block = Block(block_id, self.capacity, is_overflow=bool(flags & 1))
-        deleted = np.frombuffer(
-            payload, dtype=np.uint8, count=self.capacity, offset=_RECORD_PREFIX.size
-        )
-        coords = np.frombuffer(
-            payload,
-            dtype="<f8",
-            count=2 * self.capacity,
-            offset=_RECORD_PREFIX.size + self.capacity,
-        ).reshape(self.capacity, 2)
-        block._coords[:] = coords
-        block._deleted[:] = deleted.astype(bool)
-        block._count = int(count)
-        block.prev_id = None if prev_id < 0 else int(prev_id)
-        block.next_id = None if next_id < 0 else int(next_id)
+        flags, count, prev_id, next_id = _RECORD_PREFIX.unpack_from(record)
+        capacity = self.capacity
+        block = Block(block_id, capacity, is_overflow=bool(flags & 1))
+        # copy the slot arrays out of the record (the bitmap bytes are the
+        # 0/1 that write_block stored, so they read back as booleans)
+        block._deleted = np.frombuffer(
+            record, dtype=np.bool_, count=capacity, offset=_RECORD_PREFIX.size
+        ).copy()
+        block._coords = np.frombuffer(
+            record, dtype="<f8", count=2 * capacity, offset=_RECORD_PREFIX.size + capacity
+        ).reshape(capacity, 2).astype(float)
+        block._count = count
+        block.prev_id = None if prev_id < 0 else prev_id
+        block.next_id = None if next_id < 0 else next_id
         return block
 
     # -- lifecycle ----------------------------------------------------------------

@@ -133,7 +133,7 @@ class BlockStore:
         """Read a block by id, recording a (cache-aware) block access."""
         self._block_by_id(block_id)  # validate the id before any accounting
         self._touch(block_id)
-        return self._block_by_id(block_id)
+        return self._blocks[block_id]
 
     def _touch(self, block_id: int) -> None:
         """Record one block read, consulting the cache when one is attached.
@@ -289,16 +289,39 @@ class BlockStore:
                 self._cache_prefetch(successors)
         yield block
         next_id = block.next_id
-        while next_id is not None:
-            candidate = self._block_by_id(next_id)
-            if not candidate.is_overflow:
-                break
-            self._touch(candidate.block_id)
+        while next_id is not None and self._blocks[next_id].is_overflow:
+            self._touch(next_id)
             # the touch may have re-read the block from disk; yield the
             # current object so callers mutate what the store holds
-            candidate = self._block_by_id(next_id)
+            candidate = self._blocks[next_id]
             yield candidate
             next_id = candidate.next_id
+
+    def read_chain(self, position: int) -> np.ndarray:
+        """The live points of the chain at ``position`` as one ``(m, 2)`` array.
+
+        Base block first, then its overflow blocks, each in slot order —
+        the concatenation of ``block.points()`` over :meth:`iter_chain`,
+        with the same reads in the same order and the same chain prefetch.
+        A chain without overflow blocks returns its base block's read-only
+        array (see :meth:`Block.points`) without a copy.
+        """
+        block_id = self.base_block_id(position)
+        self._touch(block_id)
+        block = self._blocks[block_id]
+        next_id = block.next_id
+        if next_id is None or not self._blocks[next_id].is_overflow:
+            return block.points()
+        if hasattr(self.cache, "prefetch"):
+            self._cache_prefetch(self._chain_successor_ids(block))
+        chunks = [block.points()]
+        while next_id is not None and self._blocks[next_id].is_overflow:
+            self._touch(next_id)
+            # the touch may have re-read the block from disk
+            block = self._blocks[next_id]
+            chunks.append(block.points())
+            next_id = block.next_id
+        return np.vstack(chunks)
 
     def scan_positions(self, begin: int, end: int) -> Iterator[Block]:
         """Yield every block whose chain starts at positions ``begin..end`` inclusive.

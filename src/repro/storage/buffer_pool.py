@@ -67,6 +67,10 @@ _SKETCH_SEEDS = (
 
 _WORD = (1 << 64) - 1
 
+#: keys whose counter indexes :class:`FrequencySketch` memoises before it
+#: starts the memo over (a few hundred bytes each)
+_MEMO_LIMIT = 1 << 14
+
 
 def _stable_hash(key: Hashable) -> int:
     """Deterministic 64-bit hash of a cache key.
@@ -89,9 +93,10 @@ class FrequencySketch:
     so stale popularity decays and a drifting working set can win admission
     comparisons against pages that were hot long ago.
 
-    A key's four row indexes are computed once per sample period and
-    memoised; aging clears the memo, so it holds at most the distinct keys
-    of one period (``10 x capacity`` increments).
+    The rows live back to back in one flat list, and a key's four counter
+    indexes are computed once and memoised.  Indexes do not depend on the
+    counters, so aging keeps the memo; it is cleared only when it grows
+    past :data:`_MEMO_LIMIT` keys.
     """
 
     def __init__(self, capacity: int):
@@ -99,38 +104,49 @@ class FrequencySketch:
         while size < capacity * 4:
             size <<= 1
         self._mask = size - 1
-        self._rows = [[0] * size for _ in _SKETCH_SEEDS]
+        self._size = size
+        self._table = [0] * (size * len(_SKETCH_SEEDS))
         self._samples = 0
         self._sample_period = max(10 * capacity, 64)
         self.ages = 0
-        self._memo: dict[Hashable, tuple[int, ...]] = {}
+        self._memo: dict[Hashable, tuple[int, int, int, int]] = {}
 
-    def _indexes(self, key: Hashable) -> tuple[int, ...]:
+    def _indexes(self, key: Hashable) -> tuple[int, int, int, int]:
         indexes = self._memo.get(key)
         if indexes is None:
+            if len(self._memo) >= _MEMO_LIMIT:
+                self._memo.clear()
             h = _stable_hash(key)
-            indexes = self._memo[key] = tuple(
-                (((h ^ seed) * 0x9E3779B97F4A7C15) & _WORD) >> 32 & self._mask
+            mask, size = self._mask, self._size
+            a, b, c, d = (
+                (((h ^ seed) * 0x9E3779B97F4A7C15) & _WORD) >> 32 & mask
                 for seed in _SKETCH_SEEDS
             )
+            indexes = self._memo[key] = (a, size + b, 2 * size + c, 3 * size + d)
         return indexes
 
     def increment(self, key: Hashable) -> None:
-        for row, index in zip(self._rows, self._indexes(key)):
-            if row[index] < _SKETCH_MAX:
-                row[index] += 1
+        a, b, c, d = self._indexes(key)
+        table = self._table
+        if table[a] < _SKETCH_MAX:
+            table[a] += 1
+        if table[b] < _SKETCH_MAX:
+            table[b] += 1
+        if table[c] < _SKETCH_MAX:
+            table[c] += 1
+        if table[d] < _SKETCH_MAX:
+            table[d] += 1
         self._samples += 1
         if self._samples >= self._sample_period:
             self._age()
 
     def estimate(self, key: Hashable) -> int:
-        return min(row[index] for row, index in zip(self._rows, self._indexes(key)))
+        a, b, c, d = self._indexes(key)
+        table = self._table
+        return min(table[a], table[b], table[c], table[d])
 
     def _age(self) -> None:
-        for row in self._rows:
-            for index in range(len(row)):
-                row[index] >>= 1
-        self._memo.clear()
+        self._table = [count >> 1 for count in self._table]
         self._samples = 0
         self.ages += 1
 
@@ -339,7 +355,8 @@ class SharedBufferPool:
             self._evict(victim)
         self._lru[full] = client.name
         self._resident[client.name] = self._resident.get(client.name, 0) + 1
-        self._enforce_budget(client, keep=full)
+        if client.budget is not None:
+            self._enforce_budget(client, keep=full)
 
     def _evict(self, full: tuple) -> None:
         owner = self._lru.pop(full)
@@ -353,8 +370,6 @@ class SharedBufferPool:
             owner_client.evictions += 1
 
     def _enforce_budget(self, client: PoolClient, keep: tuple) -> None:
-        if client.budget is None:
-            return
         while self._resident.get(client.name, 0) > client.budget:
             victim = next(
                 full for full, owner in self._lru.items()

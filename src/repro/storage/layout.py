@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_RUN_ORDER",
     "curve_cells",
     "window_key_runs",
-    "count_key_runs",
 ]
 
 #: coarse order of :func:`window_key_runs`: a 128x128 coarse grid keeps the
@@ -87,10 +86,3 @@ def window_key_runs(
     hi = ((ends + 1) << shift) - 1
     return list(zip(lo.tolist(), hi.tolist()))
 
-
-def count_key_runs(sorted_keys: np.ndarray) -> int:
-    """Number of maximal consecutive-integer runs in ascending ``sorted_keys``."""
-    sorted_keys = np.asarray(sorted_keys, dtype=np.int64)
-    if sorted_keys.size == 0:
-        return 0
-    return 1 + int(np.sum(np.diff(sorted_keys) > 1))

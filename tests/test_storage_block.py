@@ -1,10 +1,14 @@
 """Unit tests for repro.storage.block."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.storage import Block
+from repro.geometry import mbr_of_points
+from repro.storage import Block, BlockFile
 
 
 class TestBlockBasics:
@@ -178,3 +182,85 @@ def test_contains_and_delete_match_scalar_reference(capacity, ops):
         count = block.slot_count
         assert block.all_slots().tolist() == [[s[0], s[1]] for s in reference.slots]
         assert block._deleted[:count].tolist() == [s[2] for s in reference.slots]
+
+
+# -- the memoised live points and MBR -------------------------------------------
+
+_MEMO_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "delete", "bulk_fill", "points", "mbr"]),
+        _COORD,
+        _COORD,
+    ),
+    max_size=40,
+)
+
+
+def _fresh_live(block: Block) -> np.ndarray:
+    """The live points recomputed from the slots, bypassing the memo."""
+    count = block.slot_count
+    return block.all_slots()[~block._deleted[:count]]
+
+
+def _assert_memo_current(block: Block) -> None:
+    live = _fresh_live(block)
+    points = block.points()
+    assert not points.flags.writeable
+    assert points.tolist() == live.tolist()
+    expected = mbr_of_points(live) if live.shape[0] else None
+    assert block.mbr() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 6), ops=_MEMO_OPS)
+def test_memo_matches_a_fresh_recomputation(capacity, ops, tmp_path_factory):
+    """After any interleaving of writes and reads, ``points()``/``mbr()``
+    equal a recomputation from the slots, arrays handed out earlier keep
+    their contents, and a block-file round trip reads the same back."""
+    block = Block(0, capacity=capacity)
+    handed_out: list[tuple[np.ndarray, list]] = []
+    for op, x, y in ops:
+        if op == "append" and not block.is_full:
+            block.append(x, y)
+        elif op == "delete":
+            block.delete(x, y)
+        elif op == "bulk_fill" and block.slot_count == 0:
+            block.bulk_fill(np.array([[x, y], [y, x]])[:capacity])
+        elif op in ("points", "mbr"):
+            getattr(block, op)()
+            handed_out.append((block.points(), block.points().tolist()))
+        _assert_memo_current(block)
+    for array, contents in handed_out:
+        assert array.tolist() == contents
+    path = tmp_path_factory.mktemp("memo") / "blocks.bin"
+    with BlockFile(path, capacity) as disk:
+        disk.write_block(block)
+        reread = disk.read_block(0)
+    _assert_memo_current(reread)
+    assert reread.points().tolist() == block.points().tolist()
+
+
+def test_points_are_read_only_and_shared_until_a_write():
+    block = Block(0, capacity=4)
+    block.bulk_fill(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    points = block.points()
+    assert block.points() is points
+    with pytest.raises(ValueError):
+        points[0, 0] = 9.0
+    block.append(0.5, 0.6)
+    assert block.points() is not points
+    assert points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+
+def test_pickled_block_carries_no_memo():
+    block = Block(0, capacity=4, is_overflow=True)
+    block.bulk_fill(np.array([[0.1, 0.9], [0.4, 0.2], [0.7, 0.7]]))
+    block.delete(0.4, 0.2)
+    cold = pickle.dumps(block)
+    block.points()
+    block.mbr()
+    assert pickle.dumps(block) == cold
+    for twin in (pickle.loads(cold), copy.deepcopy(block)):
+        assert twin._live is None
+        assert twin.points().tolist() == [[0.1, 0.9], [0.7, 0.7]]
+        assert twin.mbr().as_tuple() == (0.1, 0.7, 0.7, 0.9)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage import AccessStats, BlockStore
+from repro.storage import AccessStats, BlockFile, BlockStore, SharedBufferPool
 
 
 class TestAccessStats:
@@ -150,3 +150,72 @@ class TestBlockStoreAccounting:
         store = BlockStore(capacity=2)
         with pytest.raises(IndexError):
             store.read(0)
+
+
+# -- read_chain: iter_chain's reads, one array ------------------------------------
+
+#: overflow depth behind a few base positions (the rest have none)
+_CHAIN_DEPTHS = {1: 1, 4: 3, 7: 2}
+
+
+def _chained_store(seed: int, stats: AccessStats) -> BlockStore:
+    """Ten capacity-4 base blocks, overflow chains of depth 1-3, and some
+    deleted slots, so chains mix full, partial and emptied blocks."""
+    rng = np.random.default_rng(seed)
+    store = BlockStore(capacity=4, stats=stats)
+    store.pack_points(rng.random((40, 2)))
+    for position, depth in _CHAIN_DEPTHS.items():
+        tail = store.base_block_id(position)
+        for _ in range(depth):
+            block = store.allocate_overflow(tail)
+            for x, y in rng.random((int(rng.integers(1, 5)), 2)).tolist():
+                block.append(x, y)
+            tail = block.block_id
+    for block_id in rng.choice(store.n_blocks, size=8, replace=False).tolist():
+        block = store.peek(block_id)
+        if len(block):
+            block.delete(*block.points()[0])
+    return store
+
+
+def _tiered(tmp_path, name: str):
+    """Two disk-backed chained stores behind one small TinyLFU pool."""
+    pool = SharedBufferPool(capacity=6, admission="tinylfu")
+    stores = []
+    for shard in range(2):
+        store = _chained_store(seed=shard, stats=AccessStats())
+        store.attach_disk(BlockFile(tmp_path / f"{name}-{shard}.blk", store.capacity))
+        store.attach_cache(pool.client(f"shard-{shard}"))
+        stores.append(store)
+    return pool, stores
+
+
+def test_read_chain_reads_what_iter_chain_reads(tmp_path):
+    """Same points in the same order, and the same logical, physical and
+    prefetch reads, pool hits, evictions, rejections and LRU order."""
+    pool_a, stores_a = _tiered(tmp_path, "read_chain")
+    pool_b, stores_b = _tiered(tmp_path, "iter_chain")
+    rng = np.random.default_rng(11)
+    shards = rng.integers(0, 2, 300).tolist()
+    for shard, position in zip(shards, rng.integers(0, 10, 300).tolist()):
+        got = stores_a[shard].read_chain(position)
+        want = np.vstack([block.points() for block in stores_b[shard].iter_chain(position)])
+        assert got.tolist() == want.tolist()
+    for store_a, store_b in zip(stores_a, stores_b):
+        assert store_a.stats.block_reads == store_b.stats.block_reads
+        assert store_a.stats.physical_block_reads == store_b.stats.physical_block_reads
+        assert store_a.stats.prefetch_block_reads == store_b.stats.prefetch_block_reads
+        assert store_a.cache.metrics() == store_b.cache.metrics()
+    assert pool_a.metrics() == pool_b.metrics()
+    assert pool_a.evictions and pool_a.rejections and pool_a.prefetch_issued
+    assert list(pool_a._lru.items()) == list(pool_b._lru.items())
+    assert pool_a._prefetched == pool_b._prefetched
+    for store in stores_a + stores_b:
+        store.disk.close()
+
+
+def test_read_chain_without_overflow_returns_the_block_array():
+    store = _chained_store(seed=3, stats=AccessStats())
+    assert store.read_chain(0) is store.peek(store.base_block_id(0)).points()
+    chain = store.read_chain(4)
+    assert chain.shape[0] == sum(len(block) for block in store.iter_chain(4))

@@ -25,6 +25,8 @@ from repro.storage import (
     PoolClient,
     SharedBufferPool,
 )
+from repro.storage import buffer_pool
+from repro.storage.buffer_pool import _SKETCH_SEEDS, _WORD, _stable_hash
 
 
 class TestFrequencySketch:
@@ -51,6 +53,57 @@ class TestFrequencySketch:
         assert sketch.ages == 1
         # every counter was halved, so no estimate can exceed 7
         assert sketch.estimate("hot") <= 7
+
+
+class _RowSketch:
+    """The four-row count-min layout the flat sketch replaced, kept as the
+    reference: one list per row, indexes recomputed on every call."""
+
+    def __init__(self, capacity: int):
+        size = 8
+        while size < capacity * 4:
+            size <<= 1
+        self.mask = size - 1
+        self.rows = [[0] * size for _ in _SKETCH_SEEDS]
+        self.samples = 0
+        self.period = max(10 * capacity, 64)
+
+    def _indexes(self, key):
+        h = _stable_hash(key)
+        return [
+            (((h ^ seed) * 0x9E3779B97F4A7C15) & _WORD) >> 32 & self.mask
+            for seed in _SKETCH_SEEDS
+        ]
+
+    def increment(self, key) -> None:
+        for row, index in zip(self.rows, self._indexes(key)):
+            if row[index] < 15:
+                row[index] += 1
+        self.samples += 1
+        if self.samples >= self.period:
+            self.rows = [[count >> 1 for count in row] for row in self.rows]
+            self.samples = 0
+
+    def estimate(self, key) -> int:
+        return min(row[index] for row, index in zip(self.rows, self._indexes(key)))
+
+
+def test_flat_sketch_decides_like_the_row_layout(monkeypatch):
+    """A long zipf-like key stream that ages the sketch hundreds of times and
+    overflows the index memo: every estimate, and so every admission
+    comparison, equals the row layout's."""
+    monkeypatch.setattr(buffer_pool, "_MEMO_LIMIT", 256)
+    flat, rows = FrequencySketch(8), _RowSketch(8)
+    rng = np.random.default_rng(17)
+    keys = [("shard", ("b", int(k))) for k in rng.zipf(1.3, 20_000) % 1_000]
+    for step, key in enumerate(keys):
+        flat.increment(key)
+        rows.increment(key)
+        probe = keys[step // 2]
+        assert flat.estimate(key) == rows.estimate(key)
+        assert flat.estimate(probe) == rows.estimate(probe)
+    assert flat.ages >= 200
+    assert len(flat._memo) <= 256
 
 
 class TestPoolBasics:

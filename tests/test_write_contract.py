@@ -2,9 +2,9 @@
 
 ``insert``/``delete`` with a NaN or infinite coordinate raise a
 ``ValueError`` naming the point — on every index kind (the check lives in
-:class:`~repro.baselines.interface.SpatialIndex`), on the sharded index
-before it routes, and on :class:`~repro.storage.DurableIndex` before the WAL
-append.  The last matters most: a record logged before the index rejects it
+:class:`~repro.baselines.interface.SpatialIndex`), on the sharded index and
+the process-pool engine before they route, and on
+:class:`~repro.storage.DurableIndex` before the WAL append.  The last matters most: a record logged before the index rejects it
 would be replayed by recovery, fail again, and lose every write since the
 last checkpoint.
 """
@@ -16,9 +16,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.analytics import QueryRequest
 from repro.evaluation import INDEX_NAMES, build_index_suite
 from repro.geometry import Rect
 from repro.nn import TrainingConfig
+from repro.serving import ParallelShardEngine, ServingSpec
 from repro.sharding import ShardedSpatialIndex, shard_index_factory
 from repro.storage import DurableIndex
 
@@ -38,14 +40,18 @@ def _kind(name: str, points: np.ndarray):
 
 
 def _build(target: str, tmp_path):
-    """One index kind, a sharded index (``sharded-<kind>``) or a durable one
-    (``durable-<kind>``) over the same points."""
+    """One index kind, a sharded index (``sharded-<kind>``), a process-pool
+    engine (``parallel-<kind>``) or a durable index (``durable-<kind>``)
+    over the same points."""
     wrapper, _, kind = target.rpartition("-")
     points = _points()
-    if wrapper == "sharded":
+    if wrapper in ("sharded", "parallel"):
         factory = shard_index_factory(
             kind, block_capacity=16, partition_threshold=100, training=TRAINING
         )
+        if wrapper == "parallel":
+            spec = ServingSpec.from_points(factory, points, n_shards=4, policy="grid")
+            return ParallelShardEngine(spec, n_workers=2)
         return ShardedSpatialIndex(factory, n_shards=4, policy="grid").build(points)
     if wrapper == "durable":
         return DurableIndex(_kind(kind, points), tmp_path, checkpoint_every=1_000)
@@ -54,20 +60,34 @@ def _build(target: str, tmp_path):
 
 @pytest.mark.parametrize(
     "target",
-    [*INDEX_NAMES, "sharded-Grid", "sharded-RSMI", "durable-Grid", "durable-RSMI"],
+    [
+        *INDEX_NAMES,
+        "sharded-Grid",
+        "sharded-RSMI",
+        "parallel-Grid",
+        "durable-Grid",
+        "durable-RSMI",
+    ],
 )
 def test_non_finite_writes_are_rejected(target, tmp_path):
     index = _build(target, tmp_path)
-    for x, y in BAD_POINTS:
-        with pytest.raises(ValueError, match="finite"):
-            index.insert(x, y)
-        with pytest.raises(ValueError, match="finite"):
-            index.delete(x, y)
-    assert index.n_points == 200
-    assert np.isfinite(index.window_query(EVERYWHERE)).all()
-    if isinstance(index, DurableIndex):
-        assert index.wal_records_pending == 0
-        index.close()
+    try:
+        for x, y in BAD_POINTS:
+            with pytest.raises(ValueError, match="finite"):
+                index.insert(x, y)
+            with pytest.raises(ValueError, match="finite"):
+                index.delete(x, y)
+        assert index.n_points == 200
+        if isinstance(index, ParallelShardEngine):
+            stored = index.execute(QueryRequest.for_windows([EVERYWHERE])).values[0]
+        else:
+            stored = index.window_query(EVERYWHERE)
+        assert np.isfinite(stored).all()
+        if isinstance(index, DurableIndex):
+            assert index.wal_records_pending == 0
+    finally:
+        if isinstance(index, (DurableIndex, ParallelShardEngine)):
+            index.close()
 
 
 @pytest.mark.parametrize("kind", ["Grid", "RSMI"])
