@@ -205,6 +205,8 @@ returns a **read-only** ``(m, 2)`` array shared by every caller until the
 block changes (``append``/``delete``/``bulk_fill`` drop it; arrays handed
 out earlier keep their contents), and :meth:`~repro.storage.Block.mbr` is
 memoised the same way.  Neither memo is pickled.
+:meth:`~repro.storage.Block.iter_points` iterates that array as Python
+floats, so an iterator started before a mutation keeps the old contents.
 :meth:`~repro.storage.BlockStore.read_chain` returns a whole chain's live
 points as one array, with exactly the reads ``iter_chain`` records.
 

@@ -37,7 +37,12 @@ class LeafModel:
         Minimum bounding rectangle of the leaf's build points (used by the
         exact RSMIa query variants and by update handling).
     block_mbrs:
-        Per-base-block MBRs recorded at build time (RSMIa block filtering).
+        One MBR per base-block position, recorded at build time and grown by
+        every insertion into that position's chain, so it covers every live
+        point of the chain.  RSMIa filters blocks with it, and membership
+        probes skip the point compare at a position whose MBR excludes the
+        point (:meth:`may_hold`).  A leaf built without them probes every
+        position.
     """
 
     def __init__(
@@ -139,13 +144,22 @@ class LeafModel:
         """Predicted global base-block position."""
         return self.first_position + self.predict_local(x, y)
 
-    def scan_range(self, x: float, y: float) -> tuple[int, int]:
-        """Global position range ``[begin, end]`` that is guaranteed to hold the
-        point if it was part of the build data."""
-        predicted = self.predict_position(x, y)
+    def scan_range(self, predicted: int) -> tuple[int, int]:
+        """Global position range ``[begin, end]`` around the ``predicted``
+        position (from :meth:`predict_position`) that is guaranteed to hold
+        the point if it was part of the build data."""
         begin = max(self.first_position, predicted - self.err_below)
-        end = min(self.first_position + self.n_local_blocks - 1, predicted + self.err_above)
+        end = min(self.last_position, predicted + self.err_above)
         return begin, end
+
+    def may_hold(self, position: int, x: float, y: float) -> bool:
+        """False only when ``(x, y)`` cannot be a live point of the chain at
+        ``position``: the position's block MBR excludes it.  Positions
+        without a recorded MBR may hold any point."""
+        offset = position - self.first_position
+        if 0 <= offset < len(self.block_mbrs):
+            return self.block_mbrs[offset].contains_point(x, y)
+        return True
 
     # -- batched prediction (one model invocation per query batch) -------------------
 

@@ -30,9 +30,9 @@ class PointQueryResult:
     scan_begin / scan_end:
         The inclusive base-block position range the query searched: the
         leaf's error range around the prediction,
-        ``leaf.scan_range(x, y)``.  Set whether or not the point was found,
-        so the window query can bound an unlocated corner without a second
-        descent.
+        ``leaf.scan_range(predicted_position)``.  Set whether or not the
+        point was found, so the window query can bound an unlocated corner
+        without a second descent.
     """
 
     found: bool

@@ -195,16 +195,19 @@ class RSMI(SpatialIndex):
 
         Blocks in the error range are examined from the predicted position
         outwards, so the expected number of block accesses stays close to one
-        when the leaf model is accurate.
+        when the leaf model is accurate.  Every chain in the range is read
+        until the point is found; a chain whose block MBR excludes the point
+        is read without comparing against its points.
         """
         leaf, depth, _ = self.route_to_leaf(x, y)
         predicted = leaf.predict_position(x, y)
-        begin, end = leaf.scan_range(x, y)
+        begin, end = leaf.scan_range(predicted)
         blocks_scanned = 0
         for position in _outward_positions(predicted, begin, end):
+            may_hold = leaf.may_hold(position, x, y)
             for block in self.store.iter_chain(position):
                 blocks_scanned += 1
-                if block.contains(x, y):
+                if may_hold and block.contains(x, y):
                     return PointQueryResult(
                         found=True,
                         block_id=block.block_id,

@@ -8,9 +8,12 @@ underlying index allows:
   the batch is pushed through the model hierarchy with one vectorised NumPy
   call per touched internal node (:mod:`repro.engine.routing`), leaf models
   predict whole query groups at once, and every touched block chain is read
-  **once per batch** instead of once per query.  Membership probes compare
-  against the chain's coordinate array; a chain one batch probes many times
-  is hashed into a point set once (see :data:`HASH_AFTER_PROBES`).
+  **once per batch** instead of once per query.  A membership probe first
+  checks the position's block MBR (``LeafModel.may_hold``): a chain whose
+  MBR excludes the point is still read, but not compared against.  Probes
+  that pass compare against the chain's coordinate array; a chain one batch
+  probes many times is hashed into a point set once (see
+  :data:`HASH_AFTER_PROBES`).
 * Query types without a vectorisable algorithm (the RSMI's adaptive
   expanding-region kNN, RSMIa's exact MBR traversals) and the traditional
   baseline indices fall back to one uniform per-query loop.
@@ -47,13 +50,16 @@ __all__ = ["BatchQueryEngine", "ENGINE_MODES", "HASH_AFTER_PROBES"]
 ENGINE_MODES = ("auto", "sequential")
 
 #: membership probes one request makes against a chain's coordinate array
-#: before it hashes the chain into a point set instead.  Hashing a 50-point
-#: chain costs about three array compares; on a 20,000-point RSMI (B=50)
-#: thresholds of 3 to 8 tie on 1-, 16- and 128-row point batches, while a
-#: 2000-row all-miss batch costs 12 us/op when always hashing, 17 at 4,
-#: 21 at 8 and 54 when never hashing.  No perfbench workload reaches the
-#: hashed side yet: its one-op requests probe a chain at most 4 times and
-#: its 128-row batches tie across thresholds 3 to 8.
+#: before it hashes the chain into a point set instead.  Only probes that
+#: pass the chain's block-MBR gate count.  Hashing a 50-point chain costs
+#: about three array compares; on a 20,000-point RSMI (B=50) thresholds of
+#: 3 to 8 tied on 1-, 16- and 128-row point batches, while a 2000-row
+#: all-miss batch cost 12 us/op when always hashing, 17 at 4, 21 at 8 and
+#: 54 when never hashing.  Those figures were taken before the MBR gate,
+#: which skips most compares on misses, so they overstate what hashing
+#: saves now.  No perfbench workload reaches the hashed side yet: its
+#: one-op requests probe a chain at most 4 times and its 128-row batches
+#: tie across thresholds 3 to 8.
 HASH_AFTER_PROBES = 4
 
 _EMPTY = np.empty((0, 2), dtype=float)
@@ -239,9 +245,10 @@ class BatchQueryEngine:
 
         Equivalent to running Algorithm 1 per query: each query's error-bound
         block range is examined, but every touched block chain is read once
-        per batch, and each probe is one array compare against the chain's
-        coordinates (a hashed lookup once the batch has probed the chain
-        more than :data:`HASH_AFTER_PROBES` times).
+        per batch, and each probe that passes the chain's block-MBR gate is
+        one array compare against the chain's coordinates (a hashed lookup
+        once the batch has probed the chain more than
+        :data:`HASH_AFTER_PROBES` times).
         """
         rsmi = self._rsmi
         found = [False] * points.shape[0]
@@ -250,11 +257,12 @@ class BatchQueryEngine:
         probes: dict[int, int] = {}
         hashed: dict[int, set] = {}
         for batch in route_batch(rsmi, points):
-            begins, ends = batch.leaf.scan_ranges(points[batch.indices])
+            leaf = batch.leaf
+            begins, ends = leaf.scan_ranges(points[batch.indices])
             for qi, begin, end in zip(batch.indices.tolist(), begins.tolist(), ends.tolist()):
                 x, y = rows[qi]
                 for position in range(begin, end + 1):
-                    if self._chain_holds(position, x, y, cache, probes, hashed):
+                    if self._chain_holds(leaf, position, x, y, cache, probes, hashed):
                         found[qi] = True
                         break
         return found
@@ -313,7 +321,7 @@ class BatchQueryEngine:
                 x, y = rows[qi]
                 located = None
                 for position in _outward_positions(pred, begin, end):
-                    if self._chain_holds(position, x, y, cache, probes, hashed):
+                    if self._chain_holds(leaf, position, x, y, cache, probes, hashed):
                         located = position
                         break
                 if located is not None:
@@ -349,20 +357,25 @@ class BatchQueryEngine:
         return points
 
     def _chain_holds(
-        self, position: int, x: float, y: float, cache: dict, probes: dict, hashed: dict
+        self, leaf, position: int, x: float, y: float, cache: dict, probes: dict, hashed: dict
     ) -> bool:
-        """True when ``(x, y)`` is a live point of the chain at ``position``.
+        """True when ``(x, y)`` is a live point of ``leaf``'s chain at ``position``.
 
-        Compares with ``==`` against the chain's coordinate array;
+        The chain is always read (once per batch), so the batch's reads do
+        not depend on the gate.  When the position's block MBR excludes the
+        point the answer is False without a compare; otherwise it compares
+        with ``==`` against the chain's coordinate array, and
         ``probes[position]`` counts this batch's compares.  Past
         :data:`HASH_AFTER_PROBES` the chain is hashed into a point set,
         ``hashed[position]``, and later probes are set lookups with the
         same answers.
         """
+        points = self._load_position(position, cache)
+        if not leaf.may_hold(position, x, y):
+            return False
         members = hashed.get(position)
         if members is not None:
             return (x, y) in members
-        points = self._load_position(position, cache)
         seen = probes.get(position, 0)
         if seen < HASH_AFTER_PROBES:
             probes[position] = seen + 1

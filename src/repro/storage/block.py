@@ -89,9 +89,13 @@ class Block:
         return self._coords[: self._count].copy()
 
     def iter_points(self) -> Iterator[tuple[float, float]]:
-        for i in range(self._count):
-            if not self._deleted[i]:
-                yield (float(self._coords[i, 0]), float(self._coords[i, 1]))
+        """Live points as ``(x, y)`` Python floats, in slot order.
+
+        Iterates a snapshot of :meth:`points` taken at the first ``next()``:
+        an iterator started before a mutation keeps yielding the contents
+        the block had when it started.
+        """
+        yield from map(tuple, self.points().tolist())
 
     def mbr(self) -> Optional[Rect]:
         """MBR of the live points, or ``None`` when the block is empty."""

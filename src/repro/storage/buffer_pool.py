@@ -290,8 +290,9 @@ class SharedBufferPool:
         self.prefetch_evictions = 0
         #: (client name, key) -> client name, in recency order (coldest first)
         self._lru: "OrderedDict[tuple, str]" = OrderedDict()
-        #: prefetched pages not yet touched by a demand access
-        self._prefetched: set[tuple] = set()
+        #: prefetched pages not yet touched by a demand access -> client
+        #: name, in their recency order within ``_lru`` (coldest first)
+        self._prefetched: "OrderedDict[tuple, str]" = OrderedDict()
         #: resident page count per client name
         self._resident: dict[str, int] = {}
         self._sketch = (
@@ -330,7 +331,7 @@ class SharedBufferPool:
         if full in self._lru:
             self._lru.move_to_end(full)
             if full in self._prefetched:
-                self._prefetched.discard(full)
+                del self._prefetched[full]
                 self.prefetch_used += 1
             self.hits += 1
             client.hits += 1
@@ -362,7 +363,7 @@ class SharedBufferPool:
         owner = self._lru.pop(full)
         self._resident[owner] -= 1
         if full in self._prefetched:
-            self._prefetched.discard(full)
+            del self._prefetched[full]
             self.prefetch_evictions += 1
         self.evictions += 1
         owner_client = self._clients.get(owner)
@@ -400,7 +401,8 @@ class SharedBufferPool:
             # unused prefetches first, so speculation cannot age hot pages
             self._lru[full] = client.name
             self._lru.move_to_end(full, last=False)
-            self._prefetched.add(full)
+            self._prefetched[full] = client.name
+            self._prefetched.move_to_end(full, last=False)
             fresh.add(full)
             self._resident[client.name] = self._resident.get(client.name, 0) + 1
             self.prefetch_issued += 1
@@ -410,17 +412,23 @@ class SharedBufferPool:
 
     def _prefetched_victim(self, fresh: set, owner: Optional[str] = None) -> Optional[tuple]:
         """Coldest prefetched-unused page outside this batch (``owner``-only
-        when enforcing a client budget); None when no such victim exists."""
-        for full in self._lru:
-            if full in self._prefetched and full not in fresh:
-                if owner is None or self._lru[full] == owner:
-                    return full
+        when enforcing a client budget); None when no such victim exists.
+
+        Walks ``_prefetched``, which keeps the pages in their ``_lru``
+        order: a prefetch enters both at the cold end, and a demand access
+        takes a page out of ``_prefetched`` before it moves in ``_lru``.
+        This batch's pages are the coldest, so without ``owner`` the walk
+        passes at most ``len(fresh)`` pages.
+        """
+        for full, page_owner in self._prefetched.items():
+            if full not in fresh and (owner is None or page_owner == owner):
+                return full
         return None
 
     def _evict_prefetched(self, full: tuple) -> None:
         owner = self._lru.pop(full)
         self._resident[owner] -= 1
-        self._prefetched.discard(full)
+        del self._prefetched[full]
         self.prefetch_evictions += 1
 
     # -- maintenance ------------------------------------------------------------
@@ -431,7 +439,7 @@ class SharedBufferPool:
             return False
         del self._lru[full]
         self._resident[client.name] -= 1
-        self._prefetched.discard(full)
+        self._prefetched.pop(full, None)
         self.invalidations += 1
         client.invalidations += 1
         return True
@@ -443,7 +451,7 @@ class SharedBufferPool:
         mine = [full for full, owner in self._lru.items() if owner == client.name]
         for full in mine:
             del self._lru[full]
-            self._prefetched.discard(full)
+            self._prefetched.pop(full, None)
         self._resident[client.name] = 0
 
     def clear(self) -> None:

@@ -15,6 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.results import PointQueryResult
+from repro.core.rsmi import _outward_positions
+from repro.core.window import window_corner_points
 from repro.geometry import Rect
 
 __all__ = [
@@ -22,6 +25,8 @@ __all__ = [
     "batch_point_queries",
     "batch_window_queries",
     "batch_knn_queries",
+    "ungated_point_query",
+    "ungated_window_block_range",
 ]
 
 
@@ -68,3 +73,52 @@ def batch_knn_queries(index, queries: np.ndarray, k: int) -> BatchResult:
     index.stats.reset()
     results = [index.knn_query(float(x), float(y), k) for x, y in queries]
     return BatchResult(results=results, total_block_accesses=index.stats.total_reads)
+
+
+def ungated_point_query(index, x: float, y: float) -> PointQueryResult:
+    """Algorithm 1 on an RSMI, comparing ``(x, y)`` against every block of
+    every chain it reads until the point is found."""
+    leaf, depth, _ = index.route_to_leaf(x, y)
+    predicted = leaf.predict_position(x, y)
+    begin = max(leaf.first_position, predicted - leaf.err_below)
+    end = min(leaf.last_position, predicted + leaf.err_above)
+    blocks_scanned = 0
+    for position in _outward_positions(predicted, begin, end):
+        for block in index.store.iter_chain(position):
+            blocks_scanned += 1
+            if block.contains(x, y):
+                return PointQueryResult(
+                    found=True,
+                    block_id=block.block_id,
+                    position=position,
+                    predicted_position=predicted,
+                    depth=depth,
+                    blocks_scanned=blocks_scanned,
+                    scan_begin=begin,
+                    scan_end=end,
+                )
+    return PointQueryResult(
+        found=False,
+        predicted_position=predicted,
+        depth=depth,
+        blocks_scanned=blocks_scanned,
+        scan_begin=begin,
+        scan_end=end,
+    )
+
+
+def ungated_window_block_range(index, window: Rect) -> tuple[int, int]:
+    """The corner-bounded block range of Algorithm 2, each corner located
+    by :func:`ungated_point_query`."""
+    lower, upper = [], []
+    for cx, cy in window_corner_points(window, index.config.curve):
+        result = ungated_point_query(index, cx, cy)
+        if result.found:
+            lower.append(result.position)
+            upper.append(result.position)
+        else:
+            lower.append(result.scan_begin)
+            upper.append(result.scan_end)
+    begin = index.store.clamp_position(min(lower))
+    end = index.store.clamp_position(max(upper))
+    return (end, begin) if begin > end else (begin, end)

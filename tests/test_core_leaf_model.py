@@ -74,7 +74,7 @@ class TestLeafPrediction:
         block lies within [prediction - err_below, prediction + err_above]."""
         points, store, leaf = built_leaf
         for x, y in points:
-            begin, end = leaf.scan_range(float(x), float(y))
+            begin, end = leaf.scan_range(leaf.predict_position(float(x), float(y)))
             found = any(
                 block.contains(float(x), float(y))
                 for position in range(begin, end + 1)
@@ -84,7 +84,7 @@ class TestLeafPrediction:
 
     def test_scan_range_clamped_to_leaf(self, built_leaf):
         _, _, leaf = built_leaf
-        begin, end = leaf.scan_range(-5.0, 17.0)  # far outside the data
+        begin, end = leaf.scan_range(leaf.predict_position(-5.0, 17.0))  # far outside the data
         assert begin >= leaf.first_position
         assert end <= leaf.last_position
 

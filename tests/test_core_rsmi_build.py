@@ -107,7 +107,7 @@ class TestRoutingConsistency:
         for x, y in sample:
             leaf, depth, path = built_rsmi.route_to_leaf(float(x), float(y))
             assert depth == len(path) + 1
-            begin, end = leaf.scan_range(float(x), float(y))
+            begin, end = leaf.scan_range(leaf.predict_position(float(x), float(y)))
             assert leaf.first_position <= begin <= end <= leaf.last_position
 
     def test_routing_total_for_any_query_point(self, built_rsmi):

@@ -5,9 +5,10 @@
 * the one-descent-per-corner ``window_block_range`` equals the former
   two-descent computation (a point query, then a second descent and leaf
   prediction for every unlocated corner), with equal logical reads;
-* engine point batches (compare against the chain array, hashed lookups past
-  ``HASH_AFTER_PROBES``) answer like the sequential ``contains`` and read
-  exactly the chains a per-query scan of the error ranges touches.
+* engine point batches (a block-MBR gate, then a compare against the chain
+  array, hashed lookups past ``HASH_AFTER_PROBES``) answer like the
+  sequential ``contains`` and read exactly the chains a per-query scan of
+  the error ranges touches.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def test_point_query_reports_the_searched_range(built_rsmi, skewed_points):
     for x, y in np.vstack([hits, misses]).tolist():
         result = built_rsmi.point_query(x, y)
         leaf, _, _ = built_rsmi.route_to_leaf(x, y)
-        assert (result.scan_begin, result.scan_end) == leaf.scan_range(x, y)
+        assert (result.scan_begin, result.scan_end) == leaf.scan_range(leaf.predict_position(x, y))
         if result.found:
             assert result.scan_begin <= result.position <= result.scan_end
 
@@ -98,7 +99,7 @@ def _touched_chain_reads(index, queries: np.ndarray) -> int:
     touched = set()
     for x, y in queries.tolist():
         leaf, _, _ = index.route_to_leaf(x, y)
-        begin, end = leaf.scan_range(x, y)
+        begin, end = leaf.scan_range(leaf.predict_position(x, y))
         for position in range(begin, end + 1):
             touched.add(position)
             if any(block.contains(x, y) for block in index.store.iter_chain(position)):
@@ -131,13 +132,14 @@ def test_hashed_chain_probes_answer_like_array_compares(built_rsmi):
     set (a 2000-row batch gets there), agreeing with the array compares of
     the first probes on hits and misses."""
     engine = BatchQueryEngine(built_rsmi)
+    leaf = next(leaf for leaf in built_rsmi.iter_leaves() if leaf.first_position == 0)
     stored = np.vstack([block.points() for block in built_rsmi.store.iter_chain(0)]).tolist()
     queries = [(x, y) for x, y in stored] + [(x, y + 1e-9) for x, y in stored]
     expected = [True] * len(stored) + [False] * len(stored)
     cache: dict = {}
     probes: dict = {}
     hashed: dict = {}
-    answers = [engine._chain_holds(0, x, y, cache, probes, hashed) for x, y in queries]
+    answers = [engine._chain_holds(leaf, 0, x, y, cache, probes, hashed) for x, y in queries]
     assert probes[0] == HASH_AFTER_PROBES and 0 in hashed
     assert answers == expected
 

@@ -1,6 +1,7 @@
 """Unit tests for repro.storage.block."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -264,3 +265,37 @@ def test_pickled_block_carries_no_memo():
         assert twin._live is None
         assert twin.points().tolist() == [[0.1, 0.9], [0.7, 0.7]]
         assert twin.mbr().as_tuple() == (0.1, 0.7, 0.7, 0.9)
+
+
+# -- iter_points: the memoised array as Python floats -----------------------------
+
+
+def _yields(block: Block) -> list:
+    return list(block.iter_points())
+
+
+def test_iter_points_yields_the_live_array_in_slot_order():
+    block = Block(0, capacity=4)
+    block.bulk_fill(np.array([[0.1, 0.2], [-0.0, 0.5], [0.3, -0.0], [0.7, 0.8]]))
+    assert block.delete(0.3, 0.0)
+    after_delete = _yields(block)
+    assert after_delete == [tuple(row) for row in block.points().tolist()]
+    assert after_delete == [(0.1, 0.2), (-0.0, 0.5), (0.7, 0.8)]
+    block.append(0.9, 0.95)  # the full block reuses the deleted slot 2
+    after_append = _yields(block)
+    assert after_append == [tuple(row) for row in block.points().tolist()]
+    assert after_append == [(0.1, 0.2), (-0.0, 0.5), (0.9, 0.95), (0.7, 0.8)]
+    assert all(type(c) is float for point in after_append for c in point)
+    # -0.0 comes out with its sign
+    assert math.copysign(1.0, after_append[1][0]) == -1.0
+
+
+def test_started_iter_points_keeps_the_contents_it_started_with():
+    block = Block(0, capacity=4)
+    block.bulk_fill(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
+    started = block.iter_points()
+    assert next(started) == (0.1, 0.2)
+    block.delete(0.3, 0.4)
+    block.append(0.7, 0.8)
+    assert list(started) == [(0.3, 0.4), (0.5, 0.6)]
+    assert _yields(block) == [(0.1, 0.2), (0.5, 0.6), (0.7, 0.8)]

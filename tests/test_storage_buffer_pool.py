@@ -306,6 +306,50 @@ class TestPrefetch:
         assert c.contains("d1") and c.contains("d2")
 
 
+class _LRUWalkPool(SharedBufferPool):
+    """The pool with the prefetch-victim search it replaced, kept as the
+    reference: a walk of the whole LRU from its cold end."""
+
+    def _prefetched_victim(self, fresh, owner=None):
+        for full in self._lru:
+            if full in self._prefetched and full not in fresh:
+                if owner is None or self._lru[full] == owner:
+                    return full
+        return None
+
+
+@pytest.mark.parametrize("admission", POOL_ADMISSIONS)
+def test_prefetch_victims_match_the_lru_walk(admission):
+    """Demand accesses, prefetch bursts, invalidations and clears from a
+    budgeted and an unbudgeted client: every victim, counter and the LRU
+    order equal the reference walk's, and the prefetched-unused pages stay
+    in their LRU order."""
+    pools = [SharedBufferPool(12, admission), _LRUWalkPool(12, admission)]
+    rng = np.random.default_rng(29)
+    for step in range(3_000):
+        name, budget = [("a", None), ("b", 5)][int(rng.integers(0, 2))]
+        kind = rng.choice(
+            ["access", "prefetch", "invalidate", "clear"], p=[0.65, 0.3, 0.04, 0.01]
+        )
+        keys = [int(k) for k in rng.integers(0, 40, size=int(rng.integers(1, 7)))]
+        for pool in pools:
+            client = pool.client(name, budget)
+            if kind == "access":
+                client.access(keys[0])
+            elif kind == "prefetch":
+                client.prefetch(keys)
+            elif kind == "invalidate":
+                client.invalidate(keys[0])
+            else:
+                client.clear()
+        fast, walk = pools
+        assert list(fast._lru.items()) == list(walk._lru.items())
+        assert list(fast._prefetched) == [full for full in fast._lru if full in fast._prefetched]
+        assert list(fast._prefetched) == list(walk._prefetched)
+        assert fast.metrics() == walk.metrics()
+    assert fast.prefetch_evictions and fast.prefetch_used and fast.evictions
+
+
 class TestPageCacheSurfaceParity:
     """A PoolClient must be drop-in wherever a PageCache is accepted."""
 
