@@ -133,10 +133,12 @@ class LeafModel:
     # -- prediction ---------------------------------------------------------------
 
     def predict_local(self, x: float, y: float) -> int:
-        """Predicted local block index in ``[0, n_local_blocks)``."""
-        features = self.scaler.transform(np.array([[x, y]], dtype=float))
-        denominator = max(self.n_local_blocks - 1, 1)
-        raw = float(self.model.predict(features)[0]) * denominator
+        """Predicted local block index in ``[0, n_local_blocks)`` (no NumPy
+        work)."""
+        raw = self.model.predict_one(self.scaler.transform_one((x, y)))
+        return self._local(raw * max(self.n_local_blocks - 1, 1))
+
+    def _local(self, raw: float) -> int:
         # clamp, then round half to even like np.rint in predict_locals
         return round(min(max(raw, 0.0), self.n_local_blocks - 1))
 
@@ -163,21 +165,36 @@ class LeafModel:
 
     # -- batched prediction (one model invocation per query batch) -------------------
 
-    def predict_locals(self, points: np.ndarray) -> np.ndarray:
-        """Predicted local block indices for an ``(n, 2)`` array, shape ``(n,)``."""
+    def predict_locals(self, points: np.ndarray | list) -> np.ndarray | list:
+        """Predicted local block indices for an ``(n, 2)`` array, shape
+        ``(n,)``, or for a list of ``(x, y)`` rows as a list of ints (no
+        NumPy work).  Each equals :meth:`predict_local` of its row."""
+        denominator = max(self.n_local_blocks - 1, 1)
+        if isinstance(points, list):
+            raw = self.model.predict(self.scaler.transform(points))
+            return [self._local(value * denominator) for value in raw]
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         features = self.scaler.transform(points)
-        denominator = max(self.n_local_blocks - 1, 1)
         raw = self.model.predict_chunked(features) * denominator
         return np.clip(np.rint(raw), 0, self.n_local_blocks - 1).astype(np.int64)
 
-    def predict_positions(self, points: np.ndarray) -> np.ndarray:
-        """Predicted global base-block positions for an ``(n, 2)`` array."""
-        return self.first_position + self.predict_locals(points)
+    def predict_positions(self, points: np.ndarray | list) -> np.ndarray | list:
+        """Predicted global base-block positions for an ``(n, 2)`` array, or
+        for a list of rows as a list of ints."""
+        locals_ = self.predict_locals(points)
+        if isinstance(locals_, list):
+            return [self.first_position + local for local in locals_]
+        return self.first_position + locals_
 
-    def scan_ranges(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`scan_range`: ``(begins, ends)`` arrays of shape ``(n,)``."""
+    def scan_ranges(self, points: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`scan_range`: ``(begins, ends)`` arrays of shape
+        ``(n,)`` for an ``(n, 2)`` array or a list of ``(x, y)`` rows."""
         predicted = self.predict_positions(points)
+        if isinstance(predicted, list):
+            first, last = self.first_position, self.last_position
+            begins = [max(first, p - self.err_below) for p in predicted]
+            ends = [min(last, p + self.err_above) for p in predicted]
+            return np.array(begins, dtype=np.int64), np.array(ends, dtype=np.int64)
         begins = np.maximum(self.first_position, predicted - self.err_below)
         ends = np.minimum(self.last_position, predicted + self.err_above)
         return begins, ends

@@ -84,21 +84,31 @@ class LearnedPartitioning:
         self.curve_name = curve_name
 
     def predict_cell(self, x: float, y: float) -> int:
-        """Predicted cell curve value for a point, in ``[0, n_cells)``."""
-        features = self.scaler.transform(np.array([[x, y]], dtype=float))
-        denominator = max(self.n_cells - 1, 1)
-        raw = float(self.model.predict(features)[0]) * denominator
+        """Predicted cell curve value for a point, in ``[0, n_cells)`` (no
+        NumPy work)."""
+        raw = self.model.predict_one(self.scaler.transform_one((x, y)))
+        return self._cell(raw * max(self.n_cells - 1, 1))
+
+    def _cell(self, raw: float) -> int:
         # clamp, then round half to even like np.rint in predict_cells
         return round(min(max(raw, 0.0), self.n_cells - 1))
 
-    def predict_cells(self, points: np.ndarray, ys: np.ndarray | None = None) -> np.ndarray:
+    def predict_cells(
+        self, points: np.ndarray | list, ys: np.ndarray | None = None
+    ) -> np.ndarray | list:
         """Vectorised cell prediction.
 
-        Accepts either an ``(n, 2)`` point array (used by the build path), or
-        two 1-D coordinate arrays ``predict_cells(xs, ys)`` (used by the
-        batched query engine's level-synchronous routing).  One model
-        invocation serves the whole batch either way.
+        Accepts an ``(n, 2)`` point array (used by the build path), two 1-D
+        coordinate arrays ``predict_cells(xs, ys)`` (used by the batched
+        query engine's level-synchronous routing), or a list of ``(x, y)``
+        rows, which gives a list of ints without NumPy work (the engine's
+        small requests).  One model invocation serves the whole batch
+        either way, and every form predicts what :meth:`predict_cell` does.
         """
+        denominator = max(self.n_cells - 1, 1)
+        if isinstance(points, list):
+            raw = self.model.predict(self.scaler.transform(points))
+            return [self._cell(value * denominator) for value in raw]
         if ys is not None:
             xs = np.asarray(points, dtype=float).ravel()
             ys = np.asarray(ys, dtype=float).ravel()
@@ -107,7 +117,6 @@ class LearnedPartitioning:
             points = np.column_stack((xs, ys))
         points = np.asarray(points, dtype=float)
         features = self.scaler.transform(points)
-        denominator = max(self.n_cells - 1, 1)
         raw = self.model.predict_chunked(features) * denominator
         return np.clip(np.rint(raw), 0, self.n_cells - 1).astype(np.int64)
 

@@ -5,10 +5,15 @@ queries and executes them with as little per-query Python overhead as the
 underlying index allows:
 
 * **RSMI** point and (approximate) window queries run *level-synchronously*:
-  the batch is pushed through the model hierarchy with one vectorised NumPy
-  call per touched internal node (:mod:`repro.engine.routing`), leaf models
-  predict whole query groups at once, and every touched block chain is read
-  **once per batch** instead of once per query.  A membership probe first
+  the batch is pushed through the model hierarchy with one model call per
+  touched internal node (:mod:`repro.engine.routing`), leaf models predict
+  whole query groups at once, and every touched block chain is read
+  **once per batch** instead of once per query.  Every model call runs the
+  one inference kernel of :class:`~repro.nn.MLPRegressor`, so a query gets
+  the bits its sequential descent would; requests of up to
+  :data:`~repro.nn.mlp.PYTHON_ROWS` rows (the one-op requests of online
+  traffic) route and predict as Python rows with no NumPy call per model.
+  A membership probe first
   checks the position's block MBR (``LeafModel.may_hold``): a chain whose
   MBR excludes the point is still read, but not compared against.  Probes
   that pass compare against the chain's coordinate array; a chain one batch
@@ -258,8 +263,8 @@ class BatchQueryEngine:
         hashed: dict[int, set] = {}
         for batch in route_batch(rsmi, points):
             leaf = batch.leaf
-            begins, ends = leaf.scan_ranges(points[batch.indices])
-            for qi, begin, end in zip(batch.indices.tolist(), begins.tolist(), ends.tolist()):
+            begins, ends = batch.scan_ranges()
+            for qi, begin, end in zip(batch.indices, begins, ends):
                 x, y = rows[qi]
                 for position in range(begin, end + 1):
                     if self._chain_holds(leaf, position, x, y, cache, probes, hashed):
@@ -308,16 +313,14 @@ class BatchQueryEngine:
         probes: dict[int, int] = {}
         hashed: dict[int, set] = {}
 
-        lower = np.empty(corners.shape[0], dtype=np.int64)
-        upper = np.empty(corners.shape[0], dtype=np.int64)
+        lower = [0] * len(rows)
+        upper = [0] * len(rows)
         for batch in route_batch(rsmi, corners):
             leaf = batch.leaf
-            predicted = leaf.predict_positions(corners[batch.indices])
-            begins = np.maximum(leaf.first_position, predicted - leaf.err_below)
-            ends = np.minimum(leaf.last_position, predicted + leaf.err_above)
-            for qi, pred, begin, end in zip(
-                batch.indices.tolist(), predicted.tolist(), begins.tolist(), ends.tolist()
-            ):
+            first, last = leaf.first_position, leaf.last_position
+            for qi, pred in zip(batch.indices, batch.predict_positions()):
+                begin = max(first, pred - leaf.err_below)
+                end = min(last, pred + leaf.err_above)
                 x, y = rows[qi]
                 located = None
                 for position in _outward_positions(pred, begin, end):
@@ -333,8 +336,8 @@ class BatchQueryEngine:
         ranges: list[tuple[int, int]] = []
         offset = 0
         for count in corner_counts:
-            begin = rsmi.store.clamp_position(int(lower[offset : offset + count].min()))
-            end = rsmi.store.clamp_position(int(upper[offset : offset + count].max()))
+            begin = rsmi.store.clamp_position(min(lower[offset : offset + count]))
+            end = rsmi.store.clamp_position(max(upper[offset : offset + count]))
             offset += count
             if begin > end:
                 begin, end = end, begin

@@ -4,20 +4,44 @@ Each learned-index sub-model in the paper is an MLP with an input layer, one
 hidden layer with sigmoid activation, and a single linear output neuron
 (Section 6.1).  :class:`MLPRegressor` implements exactly that shape while
 also allowing deeper stacks and other activations for experimentation.
+
+Inference for that shape runs one fixed-order kernel, not BLAS: each hidden
+unit sums ``x_i * W[i]`` in input order and adds its bias, the sigmoid is
+the stable form over ``math.exp(-|z|)``, and the output sums ``a_j * v_j``
+in hidden-unit order from ``0.0`` and adds its bias.  Up to
+:data:`PYTHON_ROWS` rows it runs as a plain-Python loop per row; larger
+batches run the same operations as NumPy elementwise calls, with the
+exponential mapped through ``math.exp`` (NumPy's vectorised ``exp`` rounds
+differently on some inputs).  One row and a batch of any size therefore
+give bit-identical predictions, so the error bounds an index takes from a
+batched forward at build time cover the single-row forwards of its point
+queries by construction.  Training keeps its BLAS forward and backward.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from repro.nn.activations import Activation, Identity, activation_by_name
+from repro.nn.activations import Activation, Identity, Sigmoid, activation_by_name
 from repro.nn.layers import DenseLayer
 from repro.nn.losses import Loss, MeanSquaredError
 from repro.nn.optimizers import Optimizer
 
-__all__ = ["MLPRegressor"]
+__all__ = ["MLPRegressor", "PYTHON_ROWS"]
+
+#: row counts up to this one run the inference kernel as a plain-Python loop
+#: per row, larger ones as NumPy elementwise calls over the whole batch.  At
+#: the library's hidden widths (4-64) a Python row costs about 0.3 us per
+#: hidden unit, while one NumPy call costs about 1 us whatever its size, so
+#: the crossing lies between roughly 10 and 20 rows.
+PYTHON_ROWS = 16
+
+#: elements of the hidden pre-activation passed through ``math.exp`` per
+#: list, which bounds the transient Python floats of a large batch
+_EXP_SLICE = 1 << 16
 
 
 class MLPRegressor:
@@ -66,26 +90,66 @@ class MLPRegressor:
         # flat (parameters, gradients) vectors the layers' arrays view while
         # training; see _flat_training_state
         self._flat: tuple[np.ndarray, np.ndarray] | None = None
+        # the inference kernel's copy of the parameters, built on first use
+        # after training; see _inference_kernel
+        self._kernel: _SigmoidKernel | None = None
+
+    def __getstate__(self) -> dict:
+        # the kernel is a cache: pickles and copies carry the parameters only
+        state = self.__dict__.copy()
+        state.pop("_kernel", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._kernel = None
 
     # -- inference -------------------------------------------------------------
 
-    def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Predict a value for each row of ``inputs``; returns shape ``(n,)``."""
-        outputs = self._forward(np.asarray(inputs, dtype=float), remember=False)
-        return outputs[:, 0]
+    def predict(self, inputs: np.ndarray | list) -> np.ndarray | list:
+        """Predict a value for each row of ``inputs``.
+
+        An ``(n, n_inputs)`` array gives an array of shape ``(n,)``; a list
+        of ``n`` rows (each a sequence of floats) gives a list of ``n``
+        floats, computed without NumPy when ``n <= PYTHON_ROWS``.  Either
+        way the values are bit-identical to :meth:`predict_one` per row.
+        """
+        kernel = self._inference_kernel()
+        if isinstance(inputs, list):
+            if kernel is not None and len(inputs) <= PYTHON_ROWS:
+                return kernel.rows(inputs)
+            inputs = np.asarray(inputs, dtype=float).reshape(-1, self.n_inputs)
+            return self.predict(inputs).tolist()
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim == 1:
+            inputs = inputs.reshape(1, -1)
+        if inputs.ndim != 2 or inputs.shape[1] != self.n_inputs:
+            raise ValueError(
+                f"expected input of shape (n, {self.n_inputs}), got {inputs.shape}"
+            )
+        if kernel is None:
+            return self._forward(inputs, remember=False)[:, 0]
+        if inputs.shape[0] <= PYTHON_ROWS:
+            return np.array(kernel.rows(inputs.tolist()), dtype=float)
+        return kernel.array(inputs)
 
     def predict_one(self, features: Sequence[float]) -> float:
-        """Predict a single value from one feature vector."""
+        """Predict a single value from one feature vector (no NumPy work for
+        the one-hidden-layer sigmoid shape)."""
+        kernel = self._inference_kernel()
+        if kernel is not None:
+            return kernel.row(features)
         row = np.asarray(features, dtype=float).reshape(1, -1)
-        return float(self.predict(row)[0])
+        return float(self._forward(row, remember=False)[0, 0])
 
     def predict_chunked(self, inputs: np.ndarray, chunk_size: int = 65_536) -> np.ndarray:
         """Batched forward pass over a query matrix, ``chunk_size`` rows at a time.
 
-        Equivalent to :meth:`predict` but bounds the size of the intermediate
-        activation matrices, so arbitrarily large query batches (the batched
-        query engine routes whole workloads through one call) cannot blow up
-        memory.  Each chunk still goes through the network as one matrix.
+        Equivalent to :meth:`predict` (the kernel computes each row on its
+        own, so chunking cannot change a bit) but bounds the size of the
+        intermediate activation matrices, so arbitrarily large query batches
+        (the batched query engine routes whole workloads through one call)
+        cannot blow up memory.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
@@ -112,6 +176,7 @@ class MLPRegressor:
         loss = loss if loss is not None else MeanSquaredError()
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float).reshape(-1, 1)
+        self._kernel = None
         parameters, gradients = self._flat_training_state()
         predictions = self._forward(inputs, remember=True)
         batch_loss, grad = loss.value_and_gradient(predictions, targets)
@@ -120,6 +185,23 @@ class MLPRegressor:
         return batch_loss
 
     # -- internals --------------------------------------------------------------
+
+    def _inference_kernel(self) -> "_SigmoidKernel | None":
+        """The fixed-order kernel over the current parameters, or None for
+        shapes it does not cover (more hidden layers, other activations),
+        which infer through the BLAS forward.  The kernel copies the
+        parameters at the first inference after construction or
+        :meth:`train_batch`; later in-place edits are not seen."""
+        kernel = self._kernel
+        if kernel is None:
+            hidden, output = self.layers[0], self.layers[-1]
+            if (
+                len(self.layers) == 2
+                and type(hidden.activation) is Sigmoid
+                and type(output.activation) is Identity
+            ):
+                kernel = self._kernel = _SigmoidKernel(hidden, output)
+        return kernel
 
     def _forward(self, inputs: np.ndarray, remember: bool) -> np.ndarray:
         if inputs.ndim == 1:
@@ -170,6 +252,7 @@ class MLPRegressor:
         training ends, so a trained model carries — and pickles — only its
         parameters)."""
         self._flat = None
+        self._kernel = None
         for layer in self.layers:
             layer.drop_training_state()
 
@@ -195,3 +278,77 @@ class MLPRegressor:
             [str(self.n_inputs), *[str(s) for s in self.hidden_sizes], "1"]
         )
         return f"MLPRegressor({shape})"
+
+
+class _SigmoidKernel:
+    """The fixed-order forward pass of a one-hidden-layer sigmoid network
+    with a linear output (see the module docstring)."""
+
+    __slots__ = ("units", "weights", "bias", "out_weights", "out_bias")
+
+    def __init__(self, hidden: DenseLayer, output: DenseLayer):
+        self.weights = hidden.weights.copy()  # (n_inputs, hidden)
+        self.bias = hidden.bias.copy()
+        self.out_weights = output.weights[:, 0].tolist()
+        self.out_bias = float(output.bias[0])
+        #: one ``(w_0, .., w_{d-1}, b, v)`` tuple per hidden unit
+        self.units = list(
+            zip(*self.weights.tolist(), self.bias.tolist(), self.out_weights)
+        )
+
+    def row(self, features: Sequence[float]) -> float:
+        """One row in plain Python: the operations :meth:`array` performs
+        per row, in the same order."""
+        # unrolled for the library's two input widths; on each branch of
+        # the sigmoid, exp(-z) or exp(z) is exp(-|z|)
+        exp = math.exp
+        total = 0.0
+        if len(self.weights) == 2:
+            x0, x1 = features
+            for w0, w1, b, v in self.units:
+                z = x0 * w0 + x1 * w1 + b
+                if z >= 0.0:
+                    a = 1.0 / (1.0 + exp(-z))
+                else:
+                    e = exp(z)
+                    a = e / (1.0 + e)
+                total += a * v
+        elif len(self.weights) == 1:
+            (x0,) = features
+            for w0, b, v in self.units:
+                z = x0 * w0 + b
+                if z >= 0.0:
+                    a = 1.0 / (1.0 + exp(-z))
+                else:
+                    e = exp(z)
+                    a = e / (1.0 + e)
+                total += a * v
+        else:
+            row = np.asarray(features, dtype=float).reshape(1, -1)
+            return float(self.array(row)[0])
+        return total + self.out_bias
+
+    def rows(self, rows: list) -> list[float]:
+        return [self.row(features) for features in rows]
+
+    def array(self, inputs: np.ndarray) -> np.ndarray:
+        """Rows of an ``(n, n_inputs)`` array as NumPy elementwise calls."""
+        z = inputs[:, :1] * self.weights[0]
+        for i in range(1, len(self.weights)):
+            z += inputs[:, i : i + 1] * self.weights[i]
+        z += self.bias
+        # e = exp(-|z|) through libm, a slice at a time
+        e = np.abs(z).ravel()
+        np.negative(e, out=e)
+        for start in range(0, e.size, _EXP_SLICE):
+            part = e[start : start + _EXP_SLICE]
+            part[:] = np.fromiter(map(math.exp, part.tolist()), float, part.size)
+        e = e.reshape(z.shape)
+        a = np.where(z >= 0.0, 1.0, e)
+        e += 1.0
+        a /= e
+        total = np.zeros(inputs.shape[0])
+        for j, v in enumerate(self.out_weights):
+            total += a[:, j] * v
+        total += self.out_bias
+        return total

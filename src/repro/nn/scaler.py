@@ -16,12 +16,26 @@ class MinMaxScaler:
     """Scale each column of a 2-D array linearly into ``[0, 1]``.
 
     Columns with zero range map to 0.5 so that constant features stay finite
-    and invertible.
+    and invertible.  The row forms (:meth:`transform_one`, and
+    :meth:`transform` over a list of rows) compute ``(value - min) / span``
+    in plain Python, the same operation per element as the array form.
     """
 
     def __init__(self) -> None:
         self.data_min: np.ndarray | None = None
         self.data_max: np.ndarray | None = None
+        # (mins, spans) as Python floats for the row forms, built on first use
+        self._row_form: tuple[list[float], list[float]] | None = None
+
+    def __getstate__(self) -> dict:
+        # the row form is a cache: pickles and copies carry the fit only
+        state = self.__dict__.copy()
+        state.pop("_row_form", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._row_form = None
 
     @property
     def is_fitted(self) -> bool:
@@ -35,9 +49,14 @@ class MinMaxScaler:
             raise ValueError("cannot fit a scaler on an empty array")
         self.data_min = data.min(axis=0)
         self.data_max = data.max(axis=0)
+        self._row_form = None
         return self
 
-    def transform(self, data: np.ndarray) -> np.ndarray:
+    def transform(self, data: np.ndarray | list) -> np.ndarray | list:
+        """Scale an ``(n, d)`` array, or a list of ``n`` rows into a list of
+        ``n`` row lists (no NumPy work)."""
+        if isinstance(data, list):
+            return [self.transform_one(row) for row in data]
         self._require_fitted()
         data = np.asarray(data, dtype=float)
         span = self.data_max - self.data_min
@@ -47,6 +66,20 @@ class MinMaxScaler:
         scaled = (data - self.data_min) / np.where(degenerate, 1.0, span)
         scaled[:, degenerate] = 0.5
         return scaled
+
+    def transform_one(self, features) -> list[float]:
+        """Scale one row (a sequence of ``d`` floats) into a list."""
+        row_form = self._row_form
+        if row_form is None:
+            self._require_fitted()
+            row_form = self._row_form = (
+                self.data_min.tolist(),
+                (self.data_max - self.data_min).tolist(),
+            )
+        return [
+            (value - low) / span if span != 0.0 else 0.5
+            for value, low, span in zip(features, *row_form)
+        ]
 
     def fit_transform(self, data: np.ndarray) -> np.ndarray:
         return self.fit(data).transform(data)

@@ -229,9 +229,24 @@ class _Shard:
         #: shard-local page cache; writes to this shard invalidate only here
         self.cache = cache
         #: where this shard's block-file mirror lives, when the durable tier
-        #: asked for one (the open handle lives on the index's block store
-        #: and is never pickled; the path survives so lazy builds re-attach)
+        #: asked for one, so a lazy build attaches it.  Neither the path nor
+        #: the open handle (on the index's block store) is pickled: a
+        #: checkpoint does not depend on the directory it was written in,
+        #: and recovery re-attaches the mirrors (``DurableIndex``)
         self.disk_path: Optional[Path] = None
+
+    def __getstate__(self) -> dict:
+        return {
+            "shard_id": self.shard_id, "stats": self.stats, "index": self.index,
+            "cache": self.cache,
+        }
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):  # (None, slots): written with a disk path
+            state = state[1]
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.disk_path = None
 
     @property
     def n_points(self) -> int:
@@ -799,6 +814,9 @@ class ShardedSpatialIndex:
         captured the completed swap, keeps it; never half of each)."""
         state = dict(self.__dict__)
         state["_rescue"] = {}
+        # the block-file directory is where this process mirrors the shards
+        # (see _Shard.disk_path), not index state
+        state["_disk_directory"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

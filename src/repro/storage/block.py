@@ -34,7 +34,9 @@ class Block:
         #: True for blocks created by insertions after the initial build.
         #: Overflow blocks do not count towards the learned error bounds.
         self.is_overflow = bool(is_overflow)
-        self._coords = np.empty((capacity, 2), dtype=float)
+        # zeroed, not np.empty: pickles carry the unused slots too, so
+        # checkpoint bytes must not depend on what the allocator left there
+        self._coords = np.zeros((capacity, 2), dtype=float)
         self._deleted = np.zeros(capacity, dtype=bool)
         self._count = 0
         #: id of the block that precedes / follows this one in curve order

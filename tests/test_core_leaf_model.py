@@ -106,12 +106,19 @@ class TestLeafPrediction:
 
 
 class _ConstantModel:
-    """A stand-in regressor that predicts one fixed raw value."""
+    """A stand-in regressor that predicts one fixed raw value, in each form
+    :class:`~repro.nn.MLPRegressor` answers: one row, a list of rows, an
+    array."""
 
     def __init__(self, value: float):
         self.value = value
 
+    def predict_one(self, features):
+        return self.value
+
     def predict(self, features):
+        if isinstance(features, list):
+            return [self.value] * len(features)
         return np.full(len(features), self.value)
 
     predict_chunked = predict
@@ -133,9 +140,10 @@ def test_scalar_prediction_rounds_and_clamps_like_the_batched_one(value):
     batched = int(leaf.predict_locals(np.array([[0.5, 0.5]]))[0])
     assert leaf.predict_local(0.5, 0.5) == batched
     assert type(leaf.predict_local(0.5, 0.5)) is int
+    assert leaf.predict_locals([[0.5, 0.5]]) == [batched]
 
     # a 3x3 grid scales by n_cells - 1 = 8, so value / 2 gives the same raw value
     partitioning = LearnedPartitioning(_ConstantModel(value / 2), scaler, 3, "hilbert")
-    assert partitioning.predict_cell(0.5, 0.5) == int(
-        partitioning.predict_cells(np.array([[0.5, 0.5]]))[0]
-    )
+    cell = int(partitioning.predict_cells(np.array([[0.5, 0.5]]))[0])
+    assert partitioning.predict_cell(0.5, 0.5) == cell
+    assert partitioning.predict_cells([[0.5, 0.5]]) == [cell]

@@ -246,6 +246,51 @@ class TestShardedIndex:
         ]
 
 
+    def test_checkpoint_bytes_do_not_depend_on_the_directory(self, crash_points, tmp_path):
+        """Two copies of one history in directories whose paths differ in
+        length write byte-identical checkpoints: no block-file path is
+        pickled.  Recovery re-attaches the mirrors under its own directory
+        and still agrees with the oracle."""
+        from repro.core.persistence import load_index
+        from repro.storage import DurableIndex
+
+        factory = shard_index_factory(
+            "RSMI", block_capacity=16, partition_threshold=100, training=_TRAINING
+        )
+        writes = np.random.default_rng(71).random((40, 2)).tolist()
+        deleted = tuple(crash_points[0].tolist())
+        directories = (tmp_path / "a", tmp_path / "a-much-longer-directory" / "nested")
+        checkpoints = []
+        for directory in directories:
+            sharded = ShardedSpatialIndex(factory, n_shards=2, policy="grid")
+            durable = DurableIndex(
+                sharded.build(crash_points), directory, checkpoint_every=1_000, backend="disk"
+            )
+            for x, y in writes:
+                durable.insert(x, y)
+            assert durable.delete(*deleted)
+            durable.checkpoint()
+            checkpoints.append(durable.checkpoint_path.read_bytes())
+            durable.insert(0.5, 0.25)  # one WAL record past the checkpoint
+            durable.simulate_crash()
+        assert checkpoints[0] == checkpoints[1]
+
+        directory = directories[1]
+        loaded = load_index(directory / durable.checkpoint_path.name)
+        assert all(shard.disk_path is None for shard in loaded.shards)
+        recovered, report = DurableIndex.recover(directory, backend="disk")
+        assert report.replayed == 1
+        inner = recovered.wrapped
+        assert all(shard.disk_path.parent == directory for shard in inner.shards)
+        live = {tuple(p) for p in crash_points.tolist()} - {deleted}
+        live |= {tuple(p) for p in writes} | {(0.5, 0.25)}
+        assert inner.n_points == len(live)
+        for x, y in live:
+            assert recovered.contains(x, y)
+        assert not recovered.contains(*deleted)
+        recovered.close()
+
+
 class TestKillDuringShardSplit:
     """Kill points *inside* an in-flight shard split (the online rebalancer's
     migration).  Checkpoints taken mid-migration persist the pre-swap
