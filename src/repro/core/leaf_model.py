@@ -165,26 +165,24 @@ class LeafModel:
 
     # -- batched prediction (one model invocation per query batch) -------------------
 
-    def predict_locals(self, points: np.ndarray | list) -> np.ndarray | list:
-        """Predicted local block indices for an ``(n, 2)`` array, shape
-        ``(n,)``, or for a list of ``(x, y)`` rows as a list of ints (no
-        NumPy work).  Each equals :meth:`predict_local` of its row."""
-        denominator = max(self.n_local_blocks - 1, 1)
-        if isinstance(points, list):
-            raw = self.model.predict(self.scaler.transform(points))
-            return [self._local(value * denominator) for value in raw]
+    def predict_locals(self, points: np.ndarray) -> np.ndarray:
+        """Predicted local block indices for an ``(n, 2)`` array, shape ``(n,)``."""
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         features = self.scaler.transform(points)
+        denominator = max(self.n_local_blocks - 1, 1)
         raw = self.model.predict_chunked(features) * denominator
         return np.clip(np.rint(raw), 0, self.n_local_blocks - 1).astype(np.int64)
 
     def predict_positions(self, points: np.ndarray | list) -> np.ndarray | list:
         """Predicted global base-block positions for an ``(n, 2)`` array, or
-        for a list of rows as a list of ints."""
-        locals_ = self.predict_locals(points)
-        if isinstance(locals_, list):
-            return [self.first_position + local for local in locals_]
-        return self.first_position + locals_
+        for a list of ``(x, y)`` rows (the engine's small requests) as a
+        list of ints with no NumPy work.  Each equals
+        :meth:`predict_position` of its row."""
+        if isinstance(points, list):
+            denominator = max(self.n_local_blocks - 1, 1)
+            raw = self.model.predict(self.scaler.transform(points))
+            return [self.first_position + self._local(value * denominator) for value in raw]
+        return self.first_position + self.predict_locals(points)
 
     def scan_ranges(self, points: np.ndarray | list) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`scan_range`: ``(begins, ends)`` arrays of shape

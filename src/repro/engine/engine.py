@@ -11,7 +11,7 @@ underlying index allows:
   **once per batch** instead of once per query.  Every model call runs the
   one inference kernel of :class:`~repro.nn.MLPRegressor`, so a query gets
   the bits its sequential descent would; requests of up to
-  :data:`~repro.nn.mlp.PYTHON_ROWS` rows (the one-op requests of online
+  :data:`~repro.engine.routing.LIST_ROWS` rows (the one-op requests of online
   traffic) route and predict as Python rows with no NumPy call per model.
   A membership probe first
   checks the position's block MBR (``LeafModel.may_hold``): a chain whose

@@ -8,10 +8,11 @@ whole group.  Every model runs the one inference kernel of
 :class:`~repro.nn.MLPRegressor`, so a query routes to the same child from a
 batch of any size as from its own descent.
 
-Batches of up to :data:`~repro.nn.mlp.PYTHON_ROWS` rows — every request of
-an online workload — route as lists of ``(x, y)`` rows and pay no NumPy
-call per node; larger batches route as arrays.  Both take the same steps
-and reach the same leaves in the same order.
+Batches of up to :data:`LIST_ROWS` rows (every request of an online
+workload) route as lists of ``(x, y)`` rows and pay no NumPy call per node;
+larger batches (an experiment's whole query workload in one request) route
+as arrays.  Both take the same steps and reach the same leaves in the same
+order.
 
 The grouping must agree exactly with :meth:`InternalNode.route`: the
 predicted cell's child is used when it exists, otherwise the child with the
@@ -26,9 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.mlp import PYTHON_ROWS
+__all__ = ["LIST_ROWS", "LeafBatch", "resolve_child_cells", "route_batch"]
 
-__all__ = ["LeafBatch", "resolve_child_cells", "route_batch"]
+#: batches of up to this many rows route as lists of rows, larger ones as
+#: arrays.  Timed on the perfbench workloads' indices, ``route_batch`` plus
+#: the leaves' scan ranges runs faster as lists up to 48 rows on both; the
+#: array form catches up near 64 rows on the sharded RSMIs of
+#: ``durable-drift`` and near 96-128 rows on ``online-mixed``'s, whose root
+#: model is 33 units wide.
+LIST_ROWS = 48
 
 
 @dataclass
@@ -112,7 +119,7 @@ def route_batch(index, points: np.ndarray) -> list[LeafBatch]:
     n = points.shape[0]
     if n == 0:
         return []
-    if n <= PYTHON_ROWS:
+    if n <= LIST_ROWS:
         return _route_rows(index.root, points.tolist())
     leaves: list[LeafBatch] = []
     # worklist of (node, query indices at that node, internal nodes above it)

@@ -8,11 +8,11 @@ also allowing deeper stacks and other activations for experimentation.
 Inference for that shape runs one fixed-order kernel, not BLAS: each hidden
 unit sums ``x_i * W[i]`` in input order and adds its bias, the sigmoid is
 the stable form over ``math.exp(-|z|)``, and the output sums ``a_j * v_j``
-in hidden-unit order from ``0.0`` and adds its bias.  Up to
-:data:`PYTHON_ROWS` rows it runs as a plain-Python loop per row; larger
-batches run the same operations as NumPy elementwise calls, with the
-exponential mapped through ``math.exp`` (NumPy's vectorised ``exp`` rounds
-differently on some inputs).  One row and a batch of any size therefore
+in hidden-unit order from ``0.0`` and adds its bias.  A list of rows, and
+an array of up to :data:`PYTHON_ROWS` rows, runs as a plain-Python loop per
+row; larger arrays run the same operations as NumPy elementwise calls, with
+the exponential mapped through ``math.exp`` (NumPy's vectorised ``exp``
+rounds differently on some inputs).  One row and a batch of any size therefore
 give bit-identical predictions, so the error bounds an index takes from a
 batched forward at build time cover the single-row forwards of its point
 queries by construction.  Training keeps its BLAS forward and backward.
@@ -32,12 +32,13 @@ from repro.nn.optimizers import Optimizer
 
 __all__ = ["MLPRegressor", "PYTHON_ROWS"]
 
-#: row counts up to this one run the inference kernel as a plain-Python loop
-#: per row, larger ones as NumPy elementwise calls over the whole batch.  At
-#: the library's hidden widths (4-64) a Python row costs about 0.3 us per
-#: hidden unit, while one NumPy call costs about 1 us whatever its size, so
-#: the crossing lies between roughly 10 and 20 rows.
-PYTHON_ROWS = 16
+#: arrays of up to this many rows run the inference kernel as a plain-Python
+#: loop per row, larger ones as NumPy elementwise calls over the whole batch
+#: (lists always run as rows).  The array form makes about ``n_inputs +
+#: hidden + 6`` NumPy calls plus one ``math.exp`` per element; timed on the
+#: models of the perfbench workloads (hidden widths 4-33), it overtakes the
+#: row loop between about 20 rows (width 33) and 30 rows (width 4).
+PYTHON_ROWS = 24
 
 #: elements of the hidden pre-activation passed through ``math.exp`` per
 #: list, which bounds the transient Python floats of a large batch
@@ -109,17 +110,17 @@ class MLPRegressor:
     def predict(self, inputs: np.ndarray | list) -> np.ndarray | list:
         """Predict a value for each row of ``inputs``.
 
-        An ``(n, n_inputs)`` array gives an array of shape ``(n,)``; a list
-        of ``n`` rows (each a sequence of floats) gives a list of ``n``
-        floats, computed without NumPy when ``n <= PYTHON_ROWS``.  Either
-        way the values are bit-identical to :meth:`predict_one` per row.
+        An ``(n, n_inputs)`` array gives an array of shape ``(n,)``.  A list
+        of rows (each a sequence of floats; the engine's small requests)
+        gives a list of floats, one plain-Python row at a time.  Either way
+        each value is bit-identical to :meth:`predict_one` of its row.
         """
         kernel = self._inference_kernel()
         if isinstance(inputs, list):
-            if kernel is not None and len(inputs) <= PYTHON_ROWS:
+            if kernel is not None:
                 return kernel.rows(inputs)
             inputs = np.asarray(inputs, dtype=float).reshape(-1, self.n_inputs)
-            return self.predict(inputs).tolist()
+            return self._forward(inputs, remember=False)[:, 0].tolist()
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim == 1:
             inputs = inputs.reshape(1, -1)
@@ -189,19 +190,25 @@ class MLPRegressor:
     def _inference_kernel(self) -> "_SigmoidKernel | None":
         """The fixed-order kernel over the current parameters, or None for
         shapes it does not cover (more hidden layers, other activations),
-        which infer through the BLAS forward.  The kernel copies the
-        parameters at the first inference after construction or
-        :meth:`train_batch`; later in-place edits are not seen."""
+        which infer through the BLAS forward.
+
+        The kernel keeps a copy of the parameters, rebuilt whenever a layer's
+        ``weights`` or ``bias`` is replaced by another array and after
+        :meth:`train_batch`.  Edits made in place to a layer's arrays after
+        an inference are not seen until one of those happens.
+        """
+        hidden, output = self.layers[0], self.layers[-1]
         kernel = self._kernel
-        if kernel is None:
-            hidden, output = self.layers[0], self.layers[-1]
-            if (
-                len(self.layers) == 2
-                and type(hidden.activation) is Sigmoid
-                and type(output.activation) is Identity
-            ):
-                kernel = self._kernel = _SigmoidKernel(hidden, output)
-        return kernel
+        if kernel is not None and kernel.reads(hidden, output):
+            return kernel
+        if (
+            len(self.layers) == 2
+            and type(hidden.activation) is Sigmoid
+            and type(output.activation) is Identity
+        ):
+            kernel = self._kernel = _SigmoidKernel(hidden, output)
+            return kernel
+        return None
 
     def _forward(self, inputs: np.ndarray, remember: bool) -> np.ndarray:
         if inputs.ndim == 1:
@@ -284,9 +291,11 @@ class _SigmoidKernel:
     """The fixed-order forward pass of a one-hidden-layer sigmoid network
     with a linear output (see the module docstring)."""
 
-    __slots__ = ("units", "weights", "bias", "out_weights", "out_bias")
+    __slots__ = ("sources", "units", "weights", "bias", "out_weights", "out_bias")
 
     def __init__(self, hidden: DenseLayer, output: DenseLayer):
+        #: the layer arrays this kernel copied
+        self.sources = (hidden.weights, hidden.bias, output.weights, output.bias)
         self.weights = hidden.weights.copy()  # (n_inputs, hidden)
         self.bias = hidden.bias.copy()
         self.out_weights = output.weights[:, 0].tolist()
@@ -294,6 +303,16 @@ class _SigmoidKernel:
         #: one ``(w_0, .., w_{d-1}, b, v)`` tuple per hidden unit
         self.units = list(
             zip(*self.weights.tolist(), self.bias.tolist(), self.out_weights)
+        )
+
+    def reads(self, hidden: DenseLayer, output: DenseLayer) -> bool:
+        """Whether the layers still hold the arrays this kernel copied."""
+        weights, bias, out_weights, out_bias = self.sources
+        return (
+            hidden.weights is weights
+            and hidden.bias is bias
+            and output.weights is out_weights
+            and output.bias is out_bias
         )
 
     def row(self, features: Sequence[float]) -> float:

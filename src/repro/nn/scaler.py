@@ -24,8 +24,9 @@ class MinMaxScaler:
     def __init__(self) -> None:
         self.data_min: np.ndarray | None = None
         self.data_max: np.ndarray | None = None
-        # (mins, spans) as Python floats for the row forms, built on first use
-        self._row_form: tuple[list[float], list[float]] | None = None
+        # (data_min, data_max, mins, spans): the fit's arrays and, as Python
+        # floats, what the row forms compute with; built on first use
+        self._row_form: tuple | None = None
 
     def __getstate__(self) -> dict:
         # the row form is a cache: pickles and copies carry the fit only
@@ -49,12 +50,11 @@ class MinMaxScaler:
             raise ValueError("cannot fit a scaler on an empty array")
         self.data_min = data.min(axis=0)
         self.data_max = data.max(axis=0)
-        self._row_form = None
         return self
 
     def transform(self, data: np.ndarray | list) -> np.ndarray | list:
-        """Scale an ``(n, d)`` array, or a list of ``n`` rows into a list of
-        ``n`` row lists (no NumPy work)."""
+        """Scale an ``(n, d)`` array, or a list of ``n`` rows (the engine's
+        small requests) into a list of ``n`` row lists with no NumPy work."""
         if isinstance(data, list):
             return [self.transform_one(row) for row in data]
         self._require_fitted()
@@ -70,15 +70,17 @@ class MinMaxScaler:
     def transform_one(self, features) -> list[float]:
         """Scale one row (a sequence of ``d`` floats) into a list."""
         row_form = self._row_form
-        if row_form is None:
+        if not (row_form and row_form[0] is self.data_min and row_form[1] is self.data_max):
             self._require_fitted()
             row_form = self._row_form = (
+                self.data_min,
+                self.data_max,
                 self.data_min.tolist(),
                 (self.data_max - self.data_min).tolist(),
             )
         return [
             (value - low) / span if span != 0.0 else 0.5
-            for value, low, span in zip(features, *row_form)
+            for value, low, span in zip(features, row_form[2], row_form[3])
         ]
 
     def fit_transform(self, data: np.ndarray) -> np.ndarray:

@@ -140,7 +140,7 @@ def test_scalar_prediction_rounds_and_clamps_like_the_batched_one(value):
     batched = int(leaf.predict_locals(np.array([[0.5, 0.5]]))[0])
     assert leaf.predict_local(0.5, 0.5) == batched
     assert type(leaf.predict_local(0.5, 0.5)) is int
-    assert leaf.predict_locals([[0.5, 0.5]]) == [batched]
+    assert leaf.predict_positions([[0.5, 0.5]]) == [3 + batched]
 
     # a 3x3 grid scales by n_cells - 1 = 8, so value / 2 gives the same raw value
     partitioning = LearnedPartitioning(_ConstantModel(value / 2), scaler, 3, "hilbert")

@@ -14,8 +14,9 @@ for large ones).  This module checks
   chunk edge);
 * a leaf whose model puts stored points exactly on a rounding tie, where
   any difference between the two forwards would move a position;
-* that the engine's small requests, routed as Python rows, answer and read
-  exactly like the same requests routed as arrays.
+* that the engine's small requests, routed as Python rows (up to
+  :data:`~repro.engine.routing.LIST_ROWS`), answer and read exactly like
+  the same requests routed as arrays.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.core import RSMI, RSMIConfig
 from repro.engine import BatchQueryEngine
 from repro.geometry import Rect
 from repro.nn import Adam, MinMaxScaler, MLPRegressor, TrainingConfig
+from repro.nn.mlp import PYTHON_ROWS
 from repro.storage import SharedBufferPool
 
 TRAINING = TrainingConfig(epochs=8, seed=0)
@@ -84,7 +86,7 @@ def _assert_row_and_batch_identical(model, data, chunk_size):
 @given(
     n_inputs=st.sampled_from([1, 2]),
     hidden=st.integers(1, 64),
-    rows=st.sampled_from([*range(1, 18), 5_000]),
+    rows=st.sampled_from([*range(1, 18), 24, 25, 5_000]),
     scale=st.sampled_from([1.0, 30.0, 1e3, 1e6]),
     constant_column=st.booleans(),
     seed=st.integers(0, 2**16),
@@ -170,6 +172,31 @@ def test_kernel_is_a_cache_not_state():
     assert scaler.transform_one([1.0, 1.0]) == scaler.transform(np.array([[1.0, 1.0]]))[0].tolist()
 
 
+def test_replaced_parameters_reach_the_next_inference():
+    """Assigning a layer's ``weights`` or ``bias``, or a scaler's fit
+    arrays, after an inference rebuilds what the row forms compute with."""
+    data = np.random.default_rng(5).random((30, 2))
+    model = MLPRegressor(2, (6,), rng=np.random.default_rng(0))
+    before = model.predict(data)
+    for position, name in [(0, "weights"), (0, "bias"), (1, "weights"), (1, "bias")]:
+        layer = model.layers[position]
+        setattr(layer, name, getattr(layer, name) * 1.5 + 0.25)
+        after = model.predict(data)
+        assert after.tobytes() != before.tobytes()
+        blas = model._forward(data, remember=False)[:, 0]
+        np.testing.assert_allclose(after, blas, rtol=1e-12, atol=1e-12)
+        assert _bits(model.predict(data[:3].tolist())) == after[:3].tobytes()
+        assert model.predict_one(data[0].tolist()) == after[0]
+        before = after
+
+    scaler = MinMaxScaler().fit(data)
+    first = scaler.transform_one([0.5, 0.5])
+    scaler.data_max = scaler.data_max * 2.0
+    moved = scaler.transform_one([0.5, 0.5])
+    assert moved != first
+    assert moved == scaler.transform(np.array([[0.5, 0.5]]))[0].tolist()
+
+
 def test_other_shapes_keep_the_blas_forward():
     """Deeper stacks and other activations are outside the kernel: their
     list form still answers what the array form does."""
@@ -232,7 +259,7 @@ def test_a_tie_rounds_alike_on_every_path_and_is_found():
     on_tie = stored[stored[:, 0] == left]
     assert on_tie.shape[0] == len(ys) + 1
     many = np.vstack([on_tie, stored, on_tie])
-    assert many.shape[0] > 16  # the NumPy side of the kernel
+    assert many.shape[0] > PYTHON_ROWS  # the NumPy side of the kernel
     for x, y in on_tie.tolist():
         raw = leaf.model.predict_one(leaf.scaler.transform_one((x, y)))
         assert raw * 4 == 1.5
@@ -292,12 +319,12 @@ def _serve(index, requests) -> tuple[list, list, dict, list]:
     return answers, deltas, pool.metrics(), list(pool._lru.items())
 
 
-@pytest.mark.parametrize("rows", [1, 4, 16, 17, 2_000])
+@pytest.mark.parametrize("rows", [1, 4, 16, 17, 48, 49, 2_000])
 def test_small_requests_answer_and_read_like_array_routing(twins, rows):
     index, twin = twins
     requests = _requests(index, rows, seed=rows)
     as_rows = _serve(index, requests)
-    with mock.patch("repro.engine.routing.PYTHON_ROWS", 0), mock.patch(
+    with mock.patch("repro.engine.routing.LIST_ROWS", 0), mock.patch(
         "repro.nn.mlp.PYTHON_ROWS", 0
     ):
         as_arrays = _serve(twin, requests)
