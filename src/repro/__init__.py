@@ -69,10 +69,10 @@ operators: an :class:`~repro.analytics.AggregateSpec` names the operator
 and window (the attribute column is a deterministic per-point value, so
 every answer has a brute-force reference,
 :func:`~repro.analytics.exact_aggregate`), and the engines push the
-aggregation **down to the blocks** — each touched block emits a partial
-(count/sum pairs, a mergeable quantile sketch, a bounded top-k heap),
-partials merge per shard and again at the router, and only the merged
-partials cross shard or worker-process boundaries::
+aggregation **down to the shards** — each shard folds the rows its window
+answer holds into one partial per spec (count/sum pairs, a mergeable
+quantile sketch, a top-k list), partials merge at the router in shard-id
+order, and only partials cross shard or worker-process boundaries::
 
     from repro.analytics import AggregateSpec, QueryRequest
 

@@ -18,7 +18,7 @@ The constructors are the input contract: coordinates must be finite and
 
 :class:`AggregateSpec` also owns the push-down mechanics for its operator:
 ``new_partial()`` / ``fold(partial, points)`` / ``finalize(partial)``, so
-blocks, shards and serving workers all aggregate through the exact same
+indexes, shards and serving workers all aggregate through the exact same
 code.  :func:`exact_aggregate` is the independent brute-force reference the
 oracle and the differential tests check against.
 """
@@ -90,10 +90,16 @@ class AggregateSpec:
         return make_partial(self.op, k=self.k, capacity=self.quantile_capacity)
 
     def fold(self, partial, points):
-        """Fold the window-filtered ``points`` (n, 2) into ``partial``."""
+        """Fold the window-filtered ``points`` (n, 2) into ``partial``.
+
+        ``count`` needs only the row count, so its attribute column is
+        never computed.
+        """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         if pts.shape[0] == 0:
             return partial
+        if self.op == "count":
+            return partial.fold(pts)
         return partial.fold(pts, attribute_values(pts, self.attribute_seed))
 
     def finalize(self, partial) -> "AggregateOutcome":

@@ -1,15 +1,16 @@
 """Mergeable partial-aggregate state.
 
-Push-down aggregation never ships point sets upward: each block (or each
-shard's window scan, or each serving worker) folds the points it touched
-into a small **partial**, and partials merge pairwise on the way up —
-block → shard → router → process boundary.  Three shapes cover the five
-operators:
+Push-down aggregation never ships point sets upward: each index folds the
+rows its window answer holds into a small **partial** — one fold per spec
+per index, so a sharded aggregate folds once per spec per shard — and
+partials merge pairwise on the way up: shard → router → process boundary.
+Three shapes cover the five operators:
 
-* :class:`CountSumPartial` — ``count``/``sum``/``mean``.  Attributes are
-  exact multiples of 2^-20 (:mod:`repro.analytics.attributes`), so sums are
-  exact in float64 and **merge order cannot change the answer** — the
-  differential tests demand bit-exact agreement with the brute-force
+* :class:`CountSumPartial` — ``count``/``sum``/``mean``.  ``count`` folds
+  row counts only (no attribute column is computed for it).  Attributes
+  are exact multiples of 2^-20 (:mod:`repro.analytics.attributes`), so
+  sums are exact in float64 and **merge order cannot change the answer** —
+  the differential tests demand bit-exact agreement with the brute-force
   oracle across every merge topology.
 * :class:`QuantileSummary` — a deterministic mergeable quantile sketch:
   sorted values with one power-of-two weight, halved (keep every other
@@ -18,10 +19,14 @@ operators:
   sampling, not mergeable) it merges associatively and **tracks its own
   worst-case rank error** (``max_rank_error``): every compaction of a
   weight-``w`` summary perturbs any rank by at most ``w``, and the bound
-  accumulates additively across merges.  Below capacity it is exact.
-* :class:`TopKPartial` — a bounded heap of the ``k`` largest attribute
-  values, with the deterministic tie-break ``(-value, x, y)`` so every
-  merge order and the oracle produce the identical item list.
+  accumulates additively across merges.  The quantile contract: over at
+  most ``capacity`` folded values it is exact (``max_rank_error`` 0);
+  above that the answer depends on the fold/merge schedule (one fold per
+  shard, merged in shard-id order) but stays within ``max_rank_error``
+  ranks of the exact quantile.
+* :class:`TopKPartial` — the ``k`` largest attribute values, with the
+  deterministic tie-break ``(-value, x, y)`` so every merge order and the
+  oracle produce the identical item list.
 
 All three are plain picklable objects — :class:`ParallelShardEngine` ships
 them across the process boundary instead of result point sets.
@@ -52,10 +57,11 @@ class CountSumPartial:
         self.count = 0
         self.total = 0.0
 
-    def fold(self, points, values) -> "CountSumPartial":
-        values = np.asarray(values, dtype=np.float64).ravel()
-        self.count += int(values.size)
-        if values.size:
+    def fold(self, points, values=None) -> "CountSumPartial":
+        """Count the rows of ``points`` and add their attribute ``values``
+        to the total; ``count`` passes no values and leaves the total."""
+        self.count += len(points)
+        if values is not None and values.size:
             # attributes are multiples of 2^-20, so this sum is exact in
             # float64 for any realistic count — order independent by design
             self.total += float(values.sum())
@@ -215,8 +221,10 @@ class TopKPartial:
         if values.size == 0:
             return self
         self.count += int(values.size)
+        # the fold's own k best under the oracle's order, before any tuple
+        best = np.lexsort((pts[:, 1], pts[:, 0], -values))[: self.k]
         self.items.extend(
-            (-float(v), float(x), float(y)) for v, (x, y) in zip(values, pts)
+            zip((-values[best]).tolist(), pts[best, 0].tolist(), pts[best, 1].tolist())
         )
         self.items.sort()
         del self.items[self.k :]

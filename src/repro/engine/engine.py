@@ -203,45 +203,18 @@ class BatchQueryEngine:
         serving workers) calls this instead of ``execute`` so one partial
         per spec — not a point set — crosses the shard/process boundary;
         the caller merges partials in shard-id order and finalises once.
-        ``values`` holds the partial objects; accounting matches a window
-        batch over the same windows.
+        Each spec folds once, over the rows the window request over its
+        window answers (same reads and accounting), so a sharded aggregate
+        folds once per spec per shard.  A ``quantile`` is exact up to
+        ``quantile_capacity`` rows and within its ``max_rank_error``
+        above that; the other operators do not depend on the folds.
         """
         specs = list(specs)
-        stats = self._reset_stats()
-        if self._vectorizes_windows and specs:
-            partials = self._aggregate_batch_vectorized(specs)
-        else:
-            # the window scan is whatever the index answers a window query
-            # with (exact traversal for RSMIa, node-based traversal for the
-            # baselines); only the folded partial survives
-            partials = [
-                spec.fold(spec.new_partial(), self.index.window_query(spec.window))
-                for spec in specs
-            ]
-        return self._result("aggregate", partials, stats)
-
-    def _aggregate_batch_vectorized(self, specs) -> list:
-        """Block-level push-down over the RSMI store.
-
-        Routes every spec's window exactly like the vectorised window batch
-        (same corner routing, same block ranges, blocks read once per
-        batch), but folds each touched block's in-window points straight
-        into the spec's partial — no per-window point set is built.
-        """
-        cache: dict[int, np.ndarray] = {}
-        windows = [spec.window for spec in specs]
-        partials = []
-        for spec, (begin, end) in zip(specs, self._window_block_ranges(windows, cache)):
-            partial = spec.new_partial()
-            for position in range(begin, end + 1):
-                points = self._load_position(position, cache)
-                if points.shape[0] == 0:
-                    continue
-                inside = points[spec.window.contains_points(points)]
-                if inside.shape[0]:
-                    spec.fold(partial, inside)
-            partials.append(partial)
-        return partials
+        windows = self._run_windows([spec.window for spec in specs])
+        partials = [
+            spec.fold(spec.new_partial(), rows) for spec, rows in zip(specs, windows.values)
+        ]
+        return QueryResult(kind="aggregate", values=partials, access=windows.access)
 
     # ------------------------------------------------------------ vectorised paths --
 
@@ -299,9 +272,8 @@ class BatchQueryEngine:
     ) -> list[tuple[int, int]]:
         """Each window's inclusive block-position range (vectorised routing).
 
-        Shared by the window batch (which materialises the filtered points)
-        and the aggregate batch (which folds each block into a partial
-        instead) so both touch the identical block set.
+        The window batch, and through it every aggregate batch, scans
+        exactly these ranges.
         """
         rsmi = self._rsmi
         corner_lists = [window_corner_points(window, rsmi.config.curve) for window in windows]

@@ -226,8 +226,8 @@ def run_analytics_sweep(
     ]
     if n_shards >= 2:
         notes.append(
-            f"served through {n_shards} '{policy}' shards; per-block partials "
-            "merged per shard, then at the router"
+            f"served through {n_shards} '{policy}' shards; one partial per "
+            "aggregate per shard, merged at the router"
         )
     if cache_blocks > 0:
         notes.append(

@@ -104,6 +104,10 @@ class ShardingPolicy(abc.ABC):
         """Lower bound on the distance from ``(x, y)`` to any point stored
         in ``shard_id``'s region (0 when the point lies inside it)."""
 
+    def mindists(self, x: float, y: float) -> np.ndarray:
+        """:meth:`mindist` of every shard, indexed by shard id."""
+        return np.array([self.mindist(x, y, s) for s in range(self.n_shards)], dtype=float)
+
     @abc.abstractmethod
     def shard_extent(self, shard_id: int) -> Rect:
         """The MBR of the shard's region (for reports and diagnostics)."""
@@ -141,28 +145,18 @@ class RegularGridPolicy(ShardingPolicy):
         self.nx = nx
         self.ny = ny
 
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        space = self.data_space
-        ix = int((x - space.xlo) / space.width * self.nx) if space.width > 0 else 0
-        iy = int((y - space.ylo) / space.height * self.ny) if space.height > 0 else 0
-        return min(max(ix, 0), self.nx - 1), min(max(iy, 0), self.ny - 1)
-
     def shard_of(self, x: float, y: float) -> int:
-        ix, iy = self._cell_of(float(x), float(y))
+        ix, iy = _grid_cell(self.data_space, float(x), float(y), self.nx, self.ny)
         return iy * self.nx + ix
 
     def shard_of_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
-        space = self.data_space
-        ix = np.floor((points[:, 0] - space.xlo) / space.width * self.nx).astype(np.int64)
-        iy = np.floor((points[:, 1] - space.ylo) / space.height * self.ny).astype(np.int64)
-        np.clip(ix, 0, self.nx - 1, out=ix)
-        np.clip(iy, 0, self.ny - 1, out=iy)
+        ix, iy = _grid_cells(self.data_space, points, self.nx, self.ny)
         return iy * self.nx + ix
 
     def shards_for_window(self, window: Rect) -> list[int]:
-        ix0, iy0 = self._cell_of(window.xlo, window.ylo)
-        ix1, iy1 = self._cell_of(window.xhi, window.yhi)
+        ix0, iy0 = _grid_cell(self.data_space, window.xlo, window.ylo, self.nx, self.ny)
+        ix1, iy1 = _grid_cell(self.data_space, window.xhi, window.yhi, self.nx, self.ny)
         return [
             iy * self.nx + ix
             for iy in range(iy0, iy1 + 1)
@@ -197,7 +191,9 @@ class CurveRangePolicy(ShardingPolicy):
     cells.  A shard's region is the union of its cells, so window routing
     and kNN MINDIST work cell-wise (tight, not via the shard MBR, which can
     overlap heavily between ranges).  Subclasses supply the cell -> code
-    mapping (:meth:`_cell_code` / :meth:`_cell_codes`).
+    mapping (:meth:`_cell_code`); it runs once per cell, at construction,
+    which tabulates every cell's shard, every shard's cells and extent, so
+    routing a request encodes nothing.
     """
 
     def __init__(self, n_shards: int, data_space: Optional[Rect] = None, order: int = 4):
@@ -216,85 +212,54 @@ class CurveRangePolicy(ShardingPolicy):
         self.boundaries = np.array(
             [round(s * n_cells / n_shards) for s in range(n_shards + 1)], dtype=np.int64
         )
-        # per-cell shard id, indexed by curve code (4^order entries)
-        self._shard_by_code = (
-            np.searchsorted(self.boundaries, np.arange(n_cells), side="right") - 1
-        ).astype(np.int64)
-        # per-shard cell rectangles for tight window routing / MINDIST
-        self._cells_lo: list[np.ndarray] = []
-        self._cells_hi: list[np.ndarray] = []
+        codes = [[self._cell_code(cx, cy) for cy in range(side)] for cx in range(side)]
+        #: ``_shard_table[cx, cy]`` is the shard owning grid cell (cx, cy)
+        self._shard_table = np.searchsorted(self.boundaries, codes, side="right") - 1
+        # every cell's rectangle, grouped by shard (cells of shard s are rows
+        # _starts[s]:_starts[s + 1]), for one-pass MINDIST
+        by_shard = np.argsort(self._shard_table, axis=None, kind="stable")
+        cx, cy = np.divmod(by_shard, side)
         space = self.data_space
         cell_w = space.width / side
         cell_h = space.height / side
-        by_shard: list[list[tuple[int, int]]] = [[] for _ in range(n_shards)]
-        for cx in range(side):
-            for cy in range(side):
-                by_shard[int(self._shard_by_code[self._cell_code(cx, cy)])].append((cx, cy))
-        for cells in by_shard:
-            lo = np.array(
-                [(space.xlo + cx * cell_w, space.ylo + cy * cell_h) for cx, cy in cells],
-                dtype=float,
-            ).reshape(-1, 2)
-            self._cells_lo.append(lo)
-            self._cells_hi.append(lo + np.array([cell_w, cell_h]))
-
-    # -- the cell -> curve-code mapping --------------------------------------
+        self._cells_lo = np.column_stack((space.xlo + cx * cell_w, space.ylo + cy * cell_h))
+        self._cells_hi = self._cells_lo + np.array([cell_w, cell_h])
+        self._starts = np.searchsorted(self._shard_table.ravel()[by_shard], np.arange(n_shards))
+        lows = np.minimum.reduceat(self._cells_lo, self._starts).tolist()
+        highs = np.maximum.reduceat(self._cells_hi, self._starts).tolist()
+        self._extents = [Rect(*low, *high) for low, high in zip(lows, highs)]
 
     @abc.abstractmethod
     def _cell_code(self, cx: int, cy: int) -> int:
         """Curve code of grid cell ``(cx, cy)``."""
 
-    @abc.abstractmethod
-    def _cell_codes(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_cell_code` over int64 coordinate arrays."""
-
     # -- routing -------------------------------------------------------------
 
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        space = self.data_space
-        cx = int((x - space.xlo) / space.width * self.side) if space.width > 0 else 0
-        cy = int((y - space.ylo) / space.height * self.side) if space.height > 0 else 0
-        return min(max(cx, 0), self.side - 1), min(max(cy, 0), self.side - 1)
-
     def shard_of(self, x: float, y: float) -> int:
-        cx, cy = self._cell_of(float(x), float(y))
-        return int(self._shard_by_code[self._cell_code(cx, cy)])
+        cell = _grid_cell(self.data_space, float(x), float(y), self.side, self.side)
+        return int(self._shard_table[cell])
 
     def shard_of_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
-        space = self.data_space
-        cx = np.floor((points[:, 0] - space.xlo) / space.width * self.side).astype(np.int64)
-        cy = np.floor((points[:, 1] - space.ylo) / space.height * self.side).astype(np.int64)
-        np.clip(cx, 0, self.side - 1, out=cx)
-        np.clip(cy, 0, self.side - 1, out=cy)
-        return self._shard_by_code[self._cell_codes(cx, cy)]
+        return self._shard_table[_grid_cells(self.data_space, points, self.side, self.side)]
 
     def shards_for_window(self, window: Rect) -> list[int]:
-        cx0, cy0 = self._cell_of(window.xlo, window.ylo)
-        cx1, cy1 = self._cell_of(window.xhi, window.yhi)
-        cxs, cys = np.meshgrid(
-            np.arange(cx0, cx1 + 1, dtype=np.int64),
-            np.arange(cy0, cy1 + 1, dtype=np.int64),
-        )
-        codes = self._cell_codes(cxs.ravel(), cys.ravel())
-        return sorted(int(s) for s in np.unique(self._shard_by_code[codes]))
+        space, side = self.data_space, self.side
+        cx0, cy0 = _grid_cell(space, window.xlo, window.ylo, side, side)
+        cx1, cy1 = _grid_cell(space, window.xhi, window.yhi, side, side)
+        return np.unique(self._shard_table[cx0 : cx1 + 1, cy0 : cy1 + 1]).tolist()
 
-    def mindist(self, x: float, y: float, shard_id: int) -> float:
-        lo = self._cells_lo[shard_id]
-        hi = self._cells_hi[shard_id]
+    def mindists(self, x: float, y: float) -> np.ndarray:
+        lo, hi = self._cells_lo, self._cells_hi
         dx = np.maximum(np.maximum(lo[:, 0] - x, x - hi[:, 0]), 0.0)
         dy = np.maximum(np.maximum(lo[:, 1] - y, y - hi[:, 1]), 0.0)
-        return float(np.min(np.hypot(dx, dy)))
+        return np.minimum.reduceat(np.hypot(dx, dy), self._starts)
+
+    def mindist(self, x: float, y: float, shard_id: int) -> float:
+        return float(self.mindists(x, y)[shard_id])
 
     def shard_extent(self, shard_id: int) -> Rect:
-        lo = self._cells_lo[shard_id]
-        hi = self._cells_hi[shard_id]
-        return Rect(
-            float(lo[:, 0].min()),
-            float(lo[:, 1].min()),
-            float(hi[:, 0].max()),
-            float(hi[:, 1].max()),
-        )
+        return self._extents[shard_id]
 
     def describe(self) -> str:
         return f"{self.name}(order={self.order})"
@@ -308,12 +273,6 @@ class ZOrderRangePolicy(CurveRangePolicy):
 
     def _cell_code(self, cx: int, cy: int) -> int:
         return interleave_bits(cx, cy)
-
-    def _cell_codes(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        codes = _interleave_many(cx.astype(np.uint64)) | (
-            _interleave_many(cy.astype(np.uint64)) << np.uint64(1)
-        )
-        return codes.astype(np.int64)
 
 
 class HilbertRangePolicy(CurveRangePolicy):
@@ -332,9 +291,6 @@ class HilbertRangePolicy(CurveRangePolicy):
 
     def _cell_code(self, cx: int, cy: int) -> int:
         return self._curve.encode(cx, cy)
-
-    def _cell_codes(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        return self._curve.encode_many(cx, cy)
 
 
 class SampleBalancedPolicy(ShardingPolicy):
@@ -455,16 +411,36 @@ def _split_threshold(rect: Rect, pts: np.ndarray, axis: int) -> float:
     return threshold
 
 
-def _interleave_many(values: np.ndarray) -> np.ndarray:
-    """Vectorised bit-spreading (even positions) over a uint64 array."""
-    v = values.astype(np.uint64)
-    v &= np.uint64(0x00000000FFFFFFFF)
-    v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
-    v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-    v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
-    v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
-    return v
+def _spans(space: Rect) -> tuple[float, float]:
+    """The space's width and height for cell arithmetic, a zero span read
+    as infinite: every coordinate then falls in that axis's first cell,
+    and nothing divides by zero."""
+    return space.width or math.inf, space.height or math.inf
+
+
+def _grid_cell(space: Rect, x: float, y: float, nx: int, ny: int) -> tuple[int, int]:
+    """The ``(ix, iy)`` cell of ``(x, y)`` on an ``nx × ny`` grid over ``space``.
+
+    Cells are half-open except along the space's far edges; points outside
+    the space clamp to the nearest boundary cell (before the cast, so
+    far-outside coordinates stay in range).  :func:`_grid_cells` is the same
+    arithmetic over arrays, so scalar, array and window routing agree.
+    """
+    width, height = _spans(space)
+    ix = min(max((x - space.xlo) / width * nx, 0.0), nx - 1)
+    iy = min(max((y - space.ylo) / height * ny, 0.0), ny - 1)
+    return int(ix), int(iy)
+
+
+def _grid_cells(
+    space: Rect, points: np.ndarray, nx: int, ny: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_grid_cell` of every row of an ``(n, 2)`` array, as int64 arrays."""
+    cells = (points - (space.xlo, space.ylo)) / _spans(space) * (nx, ny)
+    np.maximum(cells, 0.0, out=cells)
+    np.minimum(cells, (nx - 1, ny - 1), out=cells)
+    cells = cells.astype(np.int64)
+    return cells[:, 0], cells[:, 1]
 
 
 def make_policy(

@@ -260,12 +260,19 @@ class AdaptiveShardingPolicy(ShardingPolicy):
         return sorted(out)
 
     def mindist(self, x: float, y: float, shard_id: int) -> float:
-        leaf = self._leaves[shard_id]
-        bound = self.base.mindist(x, y, leaf.base_id)
-        if leaf.lineage:
-            bound = max(
-                bound, mindist_point_rect(float(x), float(y), self._clip_rect(shard_id))
-            )
+        base_id = self._leaves[shard_id].base_id
+        return self._refined(x, y, shard_id, self.base.mindist(x, y, base_id))
+
+    def mindists(self, x: float, y: float) -> np.ndarray:
+        base = self.base.mindists(x, y).tolist()
+        return np.array(
+            [self._refined(x, y, s, base[leaf.base_id]) for s, leaf in enumerate(self._leaves)]
+        )
+
+    def _refined(self, x: float, y: float, shard_id: int, bound: float) -> float:
+        """The base region's ``bound`` raised to the leaf's clip rectangle."""
+        if self._leaves[shard_id].lineage:
+            bound = max(bound, mindist_point_rect(float(x), float(y), self._clip_rect(shard_id)))
         return bound
 
     def shard_extent(self, shard_id: int) -> Rect:

@@ -138,7 +138,10 @@ class ShardRouter:
 
     def mindist(self, x: float, y: float, shard_id: int) -> float:
         """Lower bound on the distance from ``(x, y)`` to shard ``shard_id``."""
-        bound = self.policy.mindist(x, y, shard_id)
+        return self._widened(x, y, shard_id, self.policy.mindist(x, y, shard_id))
+
+    def _widened(self, x: float, y: float, shard_id: int, bound: float) -> float:
+        """``bound`` lowered to the shard's overflow extent, if it has one."""
         overflow = self._overflow.get(shard_id)
         if overflow is not None:
             bound = min(bound, mindist_point_rect(x, y, overflow))
@@ -147,13 +150,16 @@ class ShardRouter:
     def knn_shard_order(self, x: float, y: float) -> Iterator[tuple[float, int]]:
         """Shards as ``(mindist, shard_id)`` in ascending MINDIST order.
 
-        The best-first kNN expansion walks this order and stops at the
-        first shard whose bound exceeds the current k-th candidate
-        distance: no skipped shard can improve the answer.
+        Every shard's bound comes from one policy pass
+        (:meth:`~repro.sharding.policy.ShardingPolicy.mindists`).  The
+        best-first kNN expansion walks this order and stops at the first
+        shard whose bound exceeds the current k-th candidate distance: no
+        skipped shard can improve the answer.
         """
+        bounds = self.policy.mindists(x, y).tolist()
         order = sorted(
-            (self.mindist(x, y, shard_id), shard_id)
-            for shard_id in range(self.policy.n_shards)
+            (self._widened(x, y, shard_id, bound), shard_id)
+            for shard_id, bound in enumerate(bounds)
         )
         return iter(order)
 

@@ -26,7 +26,13 @@ class Block:
     so checkpoints and copies carry the slots only.
     """
 
-    def __init__(self, block_id: int, capacity: int, is_overflow: bool = False):
+    def __init__(
+        self,
+        block_id: int,
+        capacity: int,
+        is_overflow: bool = False,
+        slots: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    ):
         if capacity < 1:
             raise ValueError("block capacity must be >= 1")
         self.block_id = int(block_id)
@@ -34,10 +40,13 @@ class Block:
         #: True for blocks created by insertions after the initial build.
         #: Overflow blocks do not count towards the learned error bounds.
         self.is_overflow = bool(is_overflow)
-        # zeroed, not np.empty: pickles carry the unused slots too, so
-        # checkpoint bytes must not depend on what the allocator left there
-        self._coords = np.zeros((capacity, 2), dtype=float)
-        self._deleted = np.zeros(capacity, dtype=bool)
+        if slots is None:
+            # zeroed, not np.empty: pickles carry the unused slots too, so
+            # checkpoint bytes must not depend on what the allocator left there
+            slots = np.zeros((capacity, 2), dtype=float), np.zeros(capacity, dtype=bool)
+        #: ``(capacity, 2)`` float coordinates and ``(capacity,)`` deletion
+        #: flags; a decoder passes arrays it owns as ``slots``
+        self._coords, self._deleted = slots
         self._count = 0
         #: id of the block that precedes / follows this one in curve order
         self.prev_id: Optional[int] = None

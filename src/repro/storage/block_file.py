@@ -163,15 +163,15 @@ class BlockFile:
             )
         flags, count, prev_id, next_id = _RECORD_PREFIX.unpack_from(record)
         capacity = self.capacity
-        block = Block(block_id, capacity, is_overflow=bool(flags & 1))
         # copy the slot arrays out of the record (the bitmap bytes are the
         # 0/1 that write_block stored, so they read back as booleans)
-        block._deleted = np.frombuffer(
+        deleted = np.frombuffer(
             record, dtype=np.bool_, count=capacity, offset=_RECORD_PREFIX.size
         ).copy()
-        block._coords = np.frombuffer(
+        coords = np.frombuffer(
             record, dtype="<f8", count=2 * capacity, offset=_RECORD_PREFIX.size + capacity
         ).reshape(capacity, 2).astype(float)
+        block = Block(block_id, capacity, is_overflow=bool(flags & 1), slots=(coords, deleted))
         block._count = count
         block.prev_id = None if prev_id < 0 else prev_id
         block.next_id = None if next_id < 0 else next_id

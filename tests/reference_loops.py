@@ -6,6 +6,15 @@ a whole workload one query at a time against one
 the batch's block-access total, which is what the batched engines' answers
 and reads are compared with.  Passing an :class:`~repro.core.rsmi.RSMIa`
 selects the exact window/kNN algorithms.
+
+Two older engine paths live here as references too:
+
+* :func:`per_block_aggregate_partials` folds an aggregate batch block by
+  block over the vectorised window ranges, where the engine now folds each
+  spec's window answer once;
+* the ``encoded_*`` helpers route through a curve-range policy by encoding
+  cells per request (``HilbertCurve.encode_many`` or Morton bit spreading),
+  where the policy now looks cells up in the table it builds once.
 """
 
 from __future__ import annotations
@@ -15,16 +24,24 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analytics import QueryResult
 from repro.core.results import PointQueryResult
 from repro.core.rsmi import _outward_positions
 from repro.core.window import window_corner_points
 from repro.geometry import Rect
+from repro.storage.stats import AccessSummary
 
 __all__ = [
     "BatchResult",
     "batch_point_queries",
     "batch_window_queries",
     "batch_knn_queries",
+    "encoded_mindist",
+    "encoded_shard_extent",
+    "encoded_shard_of",
+    "encoded_shard_of_many",
+    "encoded_shards_for_window",
+    "per_block_aggregate_partials",
     "ungated_point_query",
     "ungated_window_block_range",
 ]
@@ -122,3 +139,125 @@ def ungated_window_block_range(index, window: Rect) -> tuple[int, int]:
     begin = index.store.clamp_position(min(lower))
     end = index.store.clamp_position(max(upper))
     return (end, begin) if begin > end else (begin, end)
+
+
+# -- aggregates: one fold per touched block ------------------------------------------
+
+
+def per_block_aggregate_partials(engine, specs) -> QueryResult:
+    """``engine.aggregate_partials(specs)`` folding block by block.
+
+    On an approximate RSMI every spec walks its block range from the
+    engine's vectorised corner routing, and each touched block's in-window
+    points fold into the spec's partial separately; elsewhere each spec
+    folds its window answer.  Same signature and result shape as
+    :meth:`~repro.engine.BatchQueryEngine.aggregate_partials`, so a test
+    can patch it in to run a sharded engine through this loop.
+    """
+    specs = list(specs)
+    stats = engine.index.stats
+    stats.reset()
+    if engine._vectorizes_windows and specs:
+        cache: dict = {}
+        windows = [spec.window for spec in specs]
+        partials = []
+        for spec, (begin, end) in zip(specs, engine._window_block_ranges(windows, cache)):
+            partial = spec.new_partial()
+            for position in range(begin, end + 1):
+                points = engine._load_position(position, cache)
+                if points.shape[0] == 0:
+                    continue
+                inside = points[spec.window.contains_points(points)]
+                if inside.shape[0]:
+                    spec.fold(partial, inside)
+            partials.append(partial)
+    else:
+        partials = [
+            spec.fold(spec.new_partial(), engine.index.window_query(spec.window))
+            for spec in specs
+        ]
+    access = AccessSummary(logical_reads=stats.total_reads, physical_reads=stats.physical_reads)
+    return QueryResult(kind="aggregate", values=partials, access=access)
+
+
+# -- curve-range routing: encode cells per request -------------------------------------
+
+
+def _interleave_many(values: np.ndarray) -> np.ndarray:
+    """Vectorised bit-spreading (even positions) over a uint64 array."""
+    v = values.astype(np.uint64)
+    v &= np.uint64(0x00000000FFFFFFFF)
+    v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    v = (v | (v << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    v = (v | (v << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    v = (v | (v << np.uint64(2))) & np.uint64(0x3333333333333333)
+    v = (v | (v << np.uint64(1))) & np.uint64(0x5555555555555555)
+    return v
+
+
+def _encoded_shards(policy, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Owning shard of every cell ``(cx, cy)``, by curve code and the
+    policy's range boundaries."""
+    if policy.name == "hilbert":
+        codes = policy._curve.encode_many(cx, cy)
+    else:
+        codes = (
+            _interleave_many(cx.astype(np.uint64))
+            | (_interleave_many(cy.astype(np.uint64)) << np.uint64(1))
+        ).astype(np.int64)
+    return np.searchsorted(policy.boundaries, codes, side="right") - 1
+
+
+def _encoded_cell_of(policy, x: float, y: float) -> tuple[int, int]:
+    space, side = policy.data_space, policy.side
+    cx = int((x - space.xlo) / space.width * side) if space.width > 0 else 0
+    cy = int((y - space.ylo) / space.height * side) if space.height > 0 else 0
+    return min(max(cx, 0), side - 1), min(max(cy, 0), side - 1)
+
+
+def encoded_shard_of(policy, x: float, y: float) -> int:
+    cx, cy = _encoded_cell_of(policy, float(x), float(y))
+    return int(_encoded_shards(policy, np.array([cx]), np.array([cy]))[0])
+
+
+def encoded_shard_of_many(policy, points: np.ndarray) -> np.ndarray:
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    space, side = policy.data_space, policy.side
+    cx = np.floor((points[:, 0] - space.xlo) / space.width * side).astype(np.int64)
+    cy = np.floor((points[:, 1] - space.ylo) / space.height * side).astype(np.int64)
+    np.clip(cx, 0, side - 1, out=cx)
+    np.clip(cy, 0, side - 1, out=cy)
+    return _encoded_shards(policy, cx, cy)
+
+
+def encoded_shards_for_window(policy, window: Rect) -> list[int]:
+    cx0, cy0 = _encoded_cell_of(policy, window.xlo, window.ylo)
+    cx1, cy1 = _encoded_cell_of(policy, window.xhi, window.yhi)
+    cxs, cys = np.meshgrid(
+        np.arange(cx0, cx1 + 1, dtype=np.int64), np.arange(cy0, cy1 + 1, dtype=np.int64)
+    )
+    return sorted(int(s) for s in np.unique(_encoded_shards(policy, cxs.ravel(), cys.ravel())))
+
+
+def _encoded_cells(policy, shard_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of every cell ``shard_id`` owns."""
+    side, space = policy.side, policy.data_space
+    cx, cy = (axis.ravel() for axis in np.meshgrid(np.arange(side), np.arange(side)))
+    mine = _encoded_shards(policy, cx, cy) == shard_id
+    cell_w, cell_h = space.width / side, space.height / side
+    lo = np.column_stack((space.xlo + cx[mine] * cell_w, space.ylo + cy[mine] * cell_h))
+    return lo, lo + np.array([cell_w, cell_h])
+
+
+def encoded_mindist(policy, x: float, y: float, shard_id: int) -> float:
+    lo, hi = _encoded_cells(policy, shard_id)
+    dx = np.maximum(np.maximum(lo[:, 0] - x, x - hi[:, 0]), 0.0)
+    dy = np.maximum(np.maximum(lo[:, 1] - y, y - hi[:, 1]), 0.0)
+    return float(np.min(np.hypot(dx, dy)))
+
+
+def encoded_shard_extent(policy, shard_id: int) -> Rect:
+    lo, hi = _encoded_cells(policy, shard_id)
+    return Rect(
+        float(lo[:, 0].min()), float(lo[:, 1].min()), float(hi[:, 0].max()), float(hi[:, 1].max())
+    )

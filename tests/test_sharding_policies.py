@@ -121,7 +121,7 @@ class TestZOrderPolicy:
         assert all(
             policy.boundaries[i] < policy.boundaries[i + 1] for i in range(len(policy.boundaries) - 1)
         )
-        counts = np.bincount(policy._shard_by_code, minlength=5)
+        counts = np.bincount(policy._shard_table.ravel(), minlength=5)
         assert counts.sum() == n_cells
         assert counts.max() - counts.min() <= 1
 
@@ -135,7 +135,7 @@ class TestHilbertPolicy:
         policy = HilbertRangePolicy(5, order=3)
         n_cells = 4**3
         assert policy.boundaries[0] == 0 and policy.boundaries[-1] == n_cells
-        counts = np.bincount(policy._shard_by_code, minlength=5)
+        counts = np.bincount(policy._shard_table.ravel(), minlength=5)
         assert counts.sum() == n_cells
         assert counts.max() - counts.min() <= 1
 
@@ -145,10 +145,7 @@ class TestHilbertPolicy:
         window fan-out (Z-ranges straddle quadrant jumps and are not)."""
         policy = HilbertRangePolicy(6, order=4)
         for shard_id in range(policy.n_shards):
-            lo = policy._cells_lo[shard_id]
-            cells = {
-                (round(x * policy.side), round(y * policy.side)) for x, y in lo
-            }
+            cells = set(map(tuple, np.argwhere(policy._shard_table == shard_id).tolist()))
             start = next(iter(cells))
             frontier = [start]
             seen = {start}

@@ -51,6 +51,31 @@ class TestBlockFile:
         assert len(back) == len(block)
         np.testing.assert_array_equal(back.points(), block.points())
 
+    def test_decoded_blocks_pickle_like_the_written_ones(self, tmp_path):
+        """Decoding hands the record's slot arrays to the block (no zeroed
+        arrays to replace); checkpoints of decoded blocks keep their bytes
+        and the decoded arrays stay the block's own, writable slots."""
+        full = Block(1, 3)
+        for i in range(3):
+            full.append(0.1 * i, -0.0)
+        chained = Block(2, 3, is_overflow=True)
+        chained.append(0.5, 0.25)
+        chained.append(0.75, 0.125)
+        chained.delete(0.5, 0.25)
+        chained.prev_id, chained.next_id = 0, 9
+        blocks = [Block(0, 3), full, chained]
+        with BlockFile(tmp_path / "blocks.dat", 3) as bf:
+            for block in blocks:
+                bf.write_block(block)
+            decoded = [bf.read_block(block.block_id) for block in blocks]
+            with pytest.raises(BlockFileError, match="invalid block id"):
+                bf.read_block(-1)
+        for block, back in zip(blocks, decoded):
+            assert pickle.dumps(back) == pickle.dumps(block)
+        chained_back = decoded[2]
+        chained_back.append(0.875, 0.5)
+        np.testing.assert_array_equal(chained_back.points(), [[0.75, 0.125], [0.875, 0.5]])
+
     def test_none_links_roundtrip(self, tmp_path):
         block = Block(0, 2, is_overflow=False)
         block.append(0.1, 0.2)
