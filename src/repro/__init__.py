@@ -207,8 +207,13 @@ out earlier keep their contents), and :meth:`~repro.storage.Block.mbr` is
 memoised the same way.  Neither memo is pickled.
 :meth:`~repro.storage.Block.iter_points` iterates that array as Python
 floats, so an iterator started before a mutation keeps the old contents.
-:meth:`~repro.storage.BlockStore.read_chain` returns a whole chain's live
-points as one array, with exactly the reads ``iter_chain`` records.
+:meth:`~repro.storage.BlockStore.touch_chain` reads a whole chain and
+returns its blocks, with exactly the reads and prefetch a complete
+``iter_chain`` walk records; :meth:`~repro.storage.BlockStore.read_chain`
+is that plus one concatenated array of the live points.  The batch engine
+keeps the blocks of every chain a request touches and builds the array
+only when a compare that passes the block-MBR gate, a hash or a window
+scan needs it.
 
 Durable storage & crash recovery
 --------------------------------

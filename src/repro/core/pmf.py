@@ -10,6 +10,8 @@ piecewise linear mapping function built from ``γ`` equal-count partitions
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 __all__ = ["PiecewiseMappingFunction"]
@@ -29,21 +31,27 @@ class PiecewiseMappingFunction:
         sorted_values = np.sort(values)
         # boundary i sits at the (i / n_partitions)-quantile of the sample;
         # the first boundary is the minimum and the last is the maximum.
+        # Both tables are Python float lists: a kNN query evaluates the PMF
+        # a few times, and NumPy's per-call overhead would dominate a lookup.
         quantile_idx = np.linspace(0, values.size - 1, self.n_partitions + 1).astype(int)
-        self.boundaries = sorted_values[quantile_idx]
-        self.cumulative = quantile_idx.astype(float) / max(values.size - 1, 1)
+        #: ``n_partitions + 1`` sample quantiles, ascending
+        self.boundaries: list[float] = sorted_values[quantile_idx].tolist()
+        #: the CDF value at each boundary
+        self.cumulative: list[float] = (
+            quantile_idx.astype(float) / max(values.size - 1, 1)
+        ).tolist()
 
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate(self, value: float) -> float:
         """Approximate CDF value, clamped to ``[0, 1]``."""
-        if value <= self.boundaries[0]:
+        boundaries = self.boundaries
+        if value <= boundaries[0]:
             return 0.0
-        if value >= self.boundaries[-1]:
+        if value >= boundaries[-1]:
             return 1.0
-        idx = int(np.searchsorted(self.boundaries, value, side="right")) - 1
-        idx = min(idx, len(self.boundaries) - 2)
-        lo, hi = self.boundaries[idx], self.boundaries[idx + 1]
+        idx = min(bisect_right(boundaries, value) - 1, len(boundaries) - 2)
+        lo, hi = boundaries[idx], boundaries[idx + 1]
         clo, chi = self.cumulative[idx], self.cumulative[idx + 1]
         if hi == lo:
             return float(chi)
@@ -65,7 +73,7 @@ class PiecewiseMappingFunction:
         span of the sample so the initial kNN search region stays finite.
         """
         rise = self.evaluate(value + delta) - self.evaluate(value)
-        span = float(self.boundaries[-1] - self.boundaries[0])
+        span = self.boundaries[-1] - self.boundaries[0]
         max_alpha = max(span, 1.0) / max(delta, 1e-12)
         if rise <= 0:
             return max_alpha

@@ -15,10 +15,10 @@ underlying index allows:
   traffic) route and predict as Python rows with no NumPy call per model.
   A membership probe first
   checks the position's block MBR (``LeafModel.may_hold``): a chain whose
-  MBR excludes the point is still read, but not compared against.  Probes
-  that pass compare against the chain's coordinate array; a chain one batch
-  probes many times is hashed into a point set once (see
-  :data:`HASH_AFTER_PROBES`).
+  MBR excludes the point is still read, but not compared against, and its
+  coordinate array is never built.  Probes that pass compare against that
+  array, built on first use; a chain one batch probes many times is hashed
+  into a point set once (see :data:`HASH_AFTER_PROBES`).
 * Query types without a vectorisable algorithm (the RSMI's adaptive
   expanding-region kNN, RSMIa's exact MBR traversals) and the traditional
   baseline indices fall back to one uniform per-query loop.
@@ -47,6 +47,7 @@ from repro.core.window import window_corner_points
 from repro.engine.routing import route_batch
 from repro.geometry import Rect
 from repro.storage import make_page_cache
+from repro.storage.block_store import chain_points
 from repro.storage.stats import AccessSummary
 
 __all__ = ["BatchQueryEngine", "ENGINE_MODES", "HASH_AFTER_PROBES"]
@@ -68,6 +69,26 @@ ENGINE_MODES = ("auto", "sequential")
 HASH_AFTER_PROBES = 4
 
 _EMPTY = np.empty((0, 2), dtype=float)
+
+
+class _TouchedChain:
+    """A block chain one request has read: its blocks, and their live points
+    as one array from the first time a compare, a hash or a window scan
+    needs them (most chains a point probe reads, its block-MBR gate never
+    compares against)."""
+
+    __slots__ = ("blocks", "_points")
+
+    def __init__(self, blocks: list):
+        self.blocks = blocks
+        self._points = None
+
+    def points(self) -> np.ndarray:
+        """The chain's live points in chain order (see :func:`chain_points`)."""
+        points = self._points
+        if points is None:
+            points = self._points = chain_points(self.blocks)
+        return points
 
 
 class BatchQueryEngine:
@@ -231,7 +252,7 @@ class BatchQueryEngine:
         rsmi = self._rsmi
         found = [False] * points.shape[0]
         rows = points.tolist()
-        cache: dict[int, np.ndarray] = {}
+        cache: dict[int, _TouchedChain] = {}
         probes: dict[int, int] = {}
         hashed: dict[int, set] = {}
         for batch in route_batch(rsmi, points):
@@ -254,13 +275,14 @@ class BatchQueryEngine:
         corners pin the range, unlocated corners widen it by the leaf error
         bounds), and the union of touched blocks is scanned once.
         """
-        cache: dict[int, np.ndarray] = {}
+        cache: dict[int, _TouchedChain] = {}
         results: list[np.ndarray] = []
         for window, (begin, end) in zip(windows, self._window_block_ranges(windows, cache)):
             chunks = [
-                self._load_position(position, cache) for position in range(begin, end + 1)
+                self._load_position(position, cache).points()
+                for position in range(begin, end + 1)
             ]
-            candidates = np.vstack(chunks) if chunks else _EMPTY
+            candidates = np.concatenate(chunks) if chunks else _EMPTY
             if candidates.shape[0] == 0:
                 results.append(_EMPTY.copy())
                 continue
@@ -318,18 +340,20 @@ class BatchQueryEngine:
 
     # ----------------------------------------------------------- block-batch cache --
 
-    def _load_position(self, position: int, cache: dict[int, np.ndarray]) -> np.ndarray:
-        """Read one base block chain (once per batch) as an ``(m, 2)`` array.
+    def _load_position(self, position: int, cache: dict[int, _TouchedChain]) -> _TouchedChain:
+        """Read one base block chain, once per batch (the one place a batch
+        reads a chain).
 
-        The array keeps the points in chain order (base block then overflow
-        blocks, live points in slot order), matching what the sequential scan
-        would concatenate, so batched window results preserve the sequential
-        result order exactly.
+        The chain's reads and prefetch are :meth:`BlockStore.touch_chain`'s;
+        its points become an array only when first asked for, in chain
+        order (base block then overflow blocks, live points in slot order),
+        matching what the sequential scan would concatenate, so batched
+        window results preserve the sequential result order exactly.
         """
-        points = cache.get(position)
-        if points is None:
-            points = cache[position] = self._rsmi.store.read_chain(position)
-        return points
+        chain = cache.get(position)
+        if chain is None:
+            chain = cache[position] = _TouchedChain(self._rsmi.store.touch_chain(position))
+        return chain
 
     def _chain_holds(
         self, leaf, position: int, x: float, y: float, cache: dict, probes: dict, hashed: dict
@@ -338,20 +362,22 @@ class BatchQueryEngine:
 
         The chain is always read (once per batch), so the batch's reads do
         not depend on the gate.  When the position's block MBR excludes the
-        point the answer is False without a compare; otherwise it compares
-        with ``==`` against the chain's coordinate array, and
+        point the answer is False without a compare, and without building
+        the chain's coordinate array; otherwise it compares with ``==``
+        against that array, and
         ``probes[position]`` counts this batch's compares.  Past
         :data:`HASH_AFTER_PROBES` the chain is hashed into a point set,
         ``hashed[position]``, and later probes are set lookups with the
         same answers.
         """
-        points = self._load_position(position, cache)
+        chain = self._load_position(position, cache)
         if not leaf.may_hold(position, x, y):
             return False
         members = hashed.get(position)
         if members is not None:
             return (x, y) in members
         seen = probes.get(position, 0)
+        points = chain.points()
         if seen < HASH_AFTER_PROBES:
             probes[position] = seen + 1
             # nearly every probe misses on x alone

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.analytics.ops import QueryRequest, QueryResult
 from repro.engine import BatchQueryEngine, ENGINE_MODES
+from repro.engine.routing import LIST_ROWS
 from repro.sharding.index import ShardedSpatialIndex
 from repro.storage.stats import AccessSummary
 
@@ -58,17 +59,23 @@ def group_by_shard(router, kind: str, ops) -> dict[int, list[int]]:
     """Op indices per touched shard id, each list in op order.
 
     A point belongs to exactly one shard; a window (or an aggregate's
-    window) fans out to every shard its extent intersects.
+    window) fans out to every shard its extent intersects.  Point requests
+    of up to :data:`~repro.engine.routing.LIST_ROWS` rows route as Python
+    rows, larger ones as one array; both give the same groups.
     """
     if len(ops) == 0:
         return {}
-    if kind == "point":
-        owners = router.shards_for_points(ops)
-        return {
-            int(shard_id): np.nonzero(owners == shard_id)[0].tolist()
-            for shard_id in np.unique(owners)
-        }
     by_shard: dict[int, list[int]] = {}
+    if kind == "point":
+        if len(ops) > LIST_ROWS:
+            owners = router.shards_for_points(ops)
+            return {
+                int(shard_id): np.nonzero(owners == shard_id)[0].tolist()
+                for shard_id in np.unique(owners)
+            }
+        for op_index, shard_id in enumerate(router.shards_for_points(ops.tolist())):
+            by_shard.setdefault(shard_id, []).append(op_index)
+        return by_shard
     for op_index, op in enumerate(ops):
         window = op if kind == "window" else op.window
         for shard_id in router.shards_for_window(window):
@@ -77,9 +84,12 @@ def group_by_shard(router, kind: str, ops) -> dict[int, list[int]]:
 
 
 def sub_batch(kind: str, ops, indices: list[int]):
-    """The ops at ``indices``: a point array for points, a list otherwise."""
+    """The ops at ``indices``: a point array for points, a list otherwise.
+
+    ``indices`` ascend, so a point sub-batch holding every op (every one-op
+    request's) is the request's own array."""
     if kind == "point":
-        return ops[indices]
+        return ops if len(indices) == len(ops) else ops[indices]
     return [ops[i] for i in indices]
 
 
@@ -105,7 +115,7 @@ def merge_shard_answers(kind: str, ops, by_shard: dict, answers: dict) -> list:
         results = []
         for chunks in parts:
             chunks = [chunk for chunk in chunks if chunk.shape[0] > 0]
-            results.append(np.vstack(chunks) if chunks else _EMPTY.copy())
+            results.append(np.concatenate(chunks) if chunks else _EMPTY.copy())
         return results
     results = []
     for spec, partials in zip(ops, parts):

@@ -572,9 +572,9 @@ class ShardedSpatialIndex:
             shard = self.shards[shard_id]
             if shard.is_empty:
                 continue
-            for px, py in shard.knn_query(x, y, k):
-                distance = float(np.hypot(px - x, py - y))
-                best.append((distance, float(px), float(py)))
+            answer = shard.knn_query(x, y, k)
+            distances = np.hypot(answer[:, 0] - x, answer[:, 1] - y)
+            best.extend(zip(distances.tolist(), *answer.T.tolist()))
             best.sort()
             del best[k:]
         return np.asarray([(px, py) for _, px, py in best], dtype=float).reshape(-1, 2)

@@ -247,7 +247,7 @@ class CurveRangePolicy(ShardingPolicy):
         space, side = self.data_space, self.side
         cx0, cy0 = _grid_cell(space, window.xlo, window.ylo, side, side)
         cx1, cy1 = _grid_cell(space, window.xhi, window.yhi, side, side)
-        return np.unique(self._shard_table[cx0 : cx1 + 1, cy0 : cy1 + 1]).tolist()
+        return sorted(set(self._shard_table[cx0 : cx1 + 1, cy0 : cy1 + 1].ravel().tolist()))
 
     def mindists(self, x: float, y: float) -> np.ndarray:
         lo, hi = self._cells_lo, self._cells_hi
@@ -263,6 +263,17 @@ class CurveRangePolicy(ShardingPolicy):
 
     def describe(self) -> str:
         return f"{self.name}(order={self.order})"
+
+    # -- persistence: the tables are rebuilt, never pickled ----------------------
+
+    def __getstate__(self) -> dict:
+        """Only what the tables are built from: checkpoints and copies carry
+        ``n_shards``, the data space and ``order``."""
+        return {"n_shards": self.n_shards, "data_space": self.data_space, "order": self.order}
+
+    def __setstate__(self, state: dict) -> None:
+        # states pickled with the tables carry these three keys as well
+        type(self).__init__(self, state["n_shards"], state["data_space"], state["order"])
 
 
 class ZOrderRangePolicy(CurveRangePolicy):

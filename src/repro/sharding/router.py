@@ -51,8 +51,14 @@ class ShardRouter:
         """The single shard owning key ``(x, y)``."""
         return self.policy.shard_of(x, y)
 
-    def shards_for_points(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised owner lookup over an ``(n, 2)`` array."""
+    def shards_for_points(self, points: np.ndarray | list) -> np.ndarray | list:
+        """Owner of every point: a list of ``(x, y)`` rows gives a list, one
+        :meth:`~ShardingPolicy.shard_of` per row (a small request pays no
+        NumPy call), and an ``(n, 2)`` array gives an array.  Both forms
+        route every point to the same shard."""
+        if isinstance(points, list):
+            shard_of = self.policy.shard_of
+            return [shard_of(x, y) for x, y in points]
         return self.policy.shard_of_many(points)
 
     def record_insert(self, x: float, y: float) -> int:

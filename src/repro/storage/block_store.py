@@ -11,12 +11,24 @@ from repro.storage.block_file import BlockFile
 from repro.storage.page_cache import PageCache
 from repro.storage.stats import AccessStats
 
-__all__ = ["BlockStore"]
+__all__ = ["BlockStore", "chain_points"]
 
 #: base blocks prefetched ahead of the scan cursor per batch during
 #: :meth:`BlockStore.scan_positions` (small, so a run longer than the pool
 #: never evicts its own not-yet-scanned prefetches)
 PREFETCH_BATCH = 16
+
+
+def chain_points(chain: list[Block]) -> np.ndarray:
+    """The live points of a chain's blocks as one ``(m, 2)`` array.
+
+    Each block's points in slot order, blocks in chain order.  A chain of
+    one block gives that block's read-only array (see :meth:`Block.points`)
+    without a copy.
+    """
+    if len(chain) == 1:
+        return chain[0].points()
+    return np.concatenate([block.points() for block in chain])
 
 
 class BlockStore:
@@ -281,12 +293,15 @@ class BlockStore:
         is always read front to back, so its successors are certain hits.
         """
         block = self.read(self.base_block_id(position))
-        if block.next_id is not None and hasattr(self.cache, "prefetch"):
-            # most base blocks link straight to the next base block: no
-            # overflow chain, nothing to prefetch
-            successors = self._chain_successor_ids(block)
-            if successors:
-                self._cache_prefetch(successors)
+        next_id = block.next_id
+        # most base blocks link straight to the next base block: no
+        # overflow chain, nothing to prefetch
+        if (
+            next_id is not None
+            and hasattr(self.cache, "prefetch")
+            and self._blocks[next_id].is_overflow
+        ):
+            self._cache_prefetch(self._chain_successor_ids(block))
         yield block
         next_id = block.next_id
         while next_id is not None and self._blocks[next_id].is_overflow:
@@ -297,31 +312,35 @@ class BlockStore:
             yield candidate
             next_id = candidate.next_id
 
-    def read_chain(self, position: int) -> np.ndarray:
-        """The live points of the chain at ``position`` as one ``(m, 2)`` array.
+    def touch_chain(self, position: int) -> list[Block]:
+        """Read the chain at ``position`` and return its blocks, base first.
 
-        Base block first, then its overflow blocks, each in slot order —
-        the concatenation of ``block.points()`` over :meth:`iter_chain`,
-        with the same reads in the same order and the same chain prefetch.
-        A chain without overflow blocks returns its base block's read-only
-        array (see :meth:`Block.points`) without a copy.
+        The same reads in the same order as walking :meth:`iter_chain` to
+        the end, with the same chain prefetch, but the points stay in the
+        blocks: a caller that needs them as one array passes the blocks to
+        :func:`chain_points`.
         """
         block_id = self.base_block_id(position)
         self._touch(block_id)
         block = self._blocks[block_id]
+        chain = [block]
         next_id = block.next_id
         if next_id is None or not self._blocks[next_id].is_overflow:
-            return block.points()
+            return chain
         if hasattr(self.cache, "prefetch"):
             self._cache_prefetch(self._chain_successor_ids(block))
-        chunks = [block.points()]
         while next_id is not None and self._blocks[next_id].is_overflow:
             self._touch(next_id)
             # the touch may have re-read the block from disk
             block = self._blocks[next_id]
-            chunks.append(block.points())
+            chain.append(block)
             next_id = block.next_id
-        return np.vstack(chunks)
+        return chain
+
+    def read_chain(self, position: int) -> np.ndarray:
+        """The live points of the chain at ``position`` as one ``(m, 2)`` array:
+        :func:`chain_points` of :meth:`touch_chain`."""
+        return chain_points(self.touch_chain(position))
 
     def scan_positions(self, begin: int, end: int) -> Iterator[Block]:
         """Yield every block whose chain starts at positions ``begin..end`` inclusive.

@@ -7,14 +7,23 @@ the batch's block-access total, which is what the batched engines' answers
 and reads are compared with.  Passing an :class:`~repro.core.rsmi.RSMIa`
 selects the exact window/kNN algorithms.
 
-Two older engine paths live here as references too:
+Older code paths live here as references too:
 
 * :func:`per_block_aggregate_partials` folds an aggregate batch block by
   block over the vectorised window ranges, where the engine now folds each
   spec's window answer once;
 * the ``encoded_*`` helpers route through a curve-range policy by encoding
   cells per request (``HilbertCurve.encode_many`` or Morton bit spreading),
-  where the policy now looks cells up in the table it builds once.
+  where the policy now looks cells up in the table it builds once;
+* :class:`EagerChainEngine` turns every chain a request reads into one
+  array at the read, where the engine keeps the chain's blocks and builds
+  the array only when a compare, a hash or a window scan needs it;
+* :func:`per_candidate_sharded_knn` merges a sharded kNN query's shard
+  answers with one scalar ``np.hypot`` per candidate, where the index
+  computes each shard answer's distances in one call;
+* the ``searchsorted_pmf_*`` helpers evaluate a
+  :class:`~repro.core.pmf.PiecewiseMappingFunction` over NumPy arrays with
+  ``np.searchsorted``, where the PMF now bisects Python lists.
 """
 
 from __future__ import annotations
@@ -28,11 +37,13 @@ from repro.analytics import QueryResult
 from repro.core.results import PointQueryResult
 from repro.core.rsmi import _outward_positions
 from repro.core.window import window_corner_points
+from repro.engine import BatchQueryEngine
 from repro.geometry import Rect
 from repro.storage.stats import AccessSummary
 
 __all__ = [
     "BatchResult",
+    "EagerChainEngine",
     "batch_point_queries",
     "batch_window_queries",
     "batch_knn_queries",
@@ -42,6 +53,9 @@ __all__ = [
     "encoded_shard_of_many",
     "encoded_shards_for_window",
     "per_block_aggregate_partials",
+    "per_candidate_sharded_knn",
+    "searchsorted_pmf_evaluate",
+    "searchsorted_pmf_skew_parameter",
     "ungated_point_query",
     "ungated_window_block_range",
 ]
@@ -164,7 +178,7 @@ def per_block_aggregate_partials(engine, specs) -> QueryResult:
         for spec, (begin, end) in zip(specs, engine._window_block_ranges(windows, cache)):
             partial = spec.new_partial()
             for position in range(begin, end + 1):
-                points = engine._load_position(position, cache)
+                points = engine._load_position(position, cache).points()
                 if points.shape[0] == 0:
                     continue
                 inside = points[spec.window.contains_points(points)]
@@ -178,6 +192,85 @@ def per_block_aggregate_partials(engine, specs) -> QueryResult:
         ]
     access = AccessSummary(logical_reads=stats.total_reads, physical_reads=stats.physical_reads)
     return QueryResult(kind="aggregate", values=partials, access=access)
+
+
+# -- the engine's chains: one array per chain, built at the read ------------------------
+
+
+class _EagerChain:
+    """A chain read into one array at once."""
+
+    def __init__(self, points: np.ndarray):
+        self._points = points
+
+    def points(self) -> np.ndarray:
+        return self._points
+
+
+class EagerChainEngine(BatchQueryEngine):
+    """:class:`~repro.engine.BatchQueryEngine` reading every chain into one
+    array at the read: the chain walked with ``iter_chain`` to its end and
+    its blocks' points concatenated, whether or not a probe compares
+    against them.  Same constructor; a test patches it in for the engine a
+    sharded engine builds per shard."""
+
+    def _load_position(self, position: int, cache: dict) -> _EagerChain:
+        chain = cache.get(position)
+        if chain is None:
+            blocks = list(self._rsmi.store.iter_chain(position))
+            points = np.vstack([block.points() for block in blocks])
+            chain = cache[position] = _EagerChain(points)
+        return chain
+
+
+def per_candidate_sharded_knn(index, x: float, y: float, k: int) -> np.ndarray:
+    """``ShardedSpatialIndex.knn_query`` with one ``float(np.hypot(...))``
+    per candidate point."""
+    x, y = float(x), float(y)
+    best: list[tuple[float, float, float]] = []
+    for bound, shard_id in index.router.knn_shard_order(x, y):
+        if len(best) >= k and bound > best[k - 1][0]:
+            break
+        shard = index.shards[shard_id]
+        if shard.is_empty:
+            continue
+        for px, py in shard.knn_query(x, y, k):
+            best.append((float(np.hypot(px - x, py - y)), float(px), float(py)))
+        best.sort()
+        del best[k:]
+    return np.asarray([(px, py) for _, px, py in best], dtype=float).reshape(-1, 2)
+
+
+# -- the kNN skew parameter over NumPy arrays --------------------------------------------
+
+
+def searchsorted_pmf_evaluate(pmf, value: float) -> float:
+    """``pmf.evaluate(value)`` with ``np.searchsorted`` over arrays."""
+    boundaries = np.asarray(pmf.boundaries, dtype=float)
+    cumulative = np.asarray(pmf.cumulative, dtype=float)
+    if value <= boundaries[0]:
+        return 0.0
+    if value >= boundaries[-1]:
+        return 1.0
+    idx = int(np.searchsorted(boundaries, value, side="right")) - 1
+    idx = min(idx, len(boundaries) - 2)
+    lo, hi = boundaries[idx], boundaries[idx + 1]
+    clo, chi = cumulative[idx], cumulative[idx + 1]
+    if hi == lo:
+        return float(chi)
+    fraction = (value - lo) / (hi - lo)
+    return float(clo + fraction * (chi - clo))
+
+
+def searchsorted_pmf_skew_parameter(pmf, value: float, delta: float = 0.01) -> float:
+    """``pmf.skew_parameter(value, delta)`` over :func:`searchsorted_pmf_evaluate`."""
+    rise = searchsorted_pmf_evaluate(pmf, value + delta) - searchsorted_pmf_evaluate(pmf, value)
+    boundaries = np.asarray(pmf.boundaries, dtype=float)
+    span = float(boundaries[-1] - boundaries[0])
+    max_alpha = max(span, 1.0) / max(delta, 1e-12)
+    if rise <= 0:
+        return max_alpha
+    return float(min(delta / rise, max_alpha))
 
 
 # -- curve-range routing: encode cells per request -------------------------------------

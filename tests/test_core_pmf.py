@@ -1,10 +1,15 @@
 """Unit tests for the piecewise mapping function (CDF approximation)."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PiecewiseMappingFunction
+
+from tests.reference_loops import searchsorted_pmf_evaluate, searchsorted_pmf_skew_parameter
 
 
 class TestPMFBasics:
@@ -78,3 +83,50 @@ class TestSkewParameter:
         pmf = PiecewiseMappingFunction(values, n_partitions=20)
         assert 0.0 <= pmf.evaluate(query) <= 1.0
         assert pmf.skew_parameter(query) > 0
+
+
+# -- Python lists + bisect against NumPy arrays + searchsorted ------------------------
+
+
+def _same_bits(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return type(a) is type(b) is float and struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _probes(pmf, extra: list) -> list:
+    """Every boundary, its neighbouring floats, points past both ends, the
+    signed zeros and ``extra``."""
+    values = list(extra) + [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for boundary in pmf.boundaries:
+        below, above = math.nextafter(boundary, -math.inf), math.nextafter(boundary, math.inf)
+        values += [boundary, below, above]
+    low, high = pmf.boundaries[0], pmf.boundaries[-1]
+    values += [low - 1.0, high + 1.0, low - 1e300, high + 1e300, (low + high) / 2]
+    return values
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sample=st.lists(
+        st.one_of(
+            st.floats(-5.0, 5.0, allow_nan=False),
+            st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+    n_partitions=st.integers(1, 120),
+    extra=st.lists(st.floats(-10.0, 10.0, allow_nan=False), max_size=20),
+    delta=st.sampled_from([0.01, 1e-3, 0.25, 1e-12]),
+)
+def test_bisect_evaluation_matches_searchsorted_bit_for_bit(sample, n_partitions, extra, delta):
+    """``evaluate`` and ``skew_parameter`` give the bits the NumPy
+    ``searchsorted`` body gave, for repeated values, signed zeros and
+    queries on, beside and beyond every boundary."""
+    pmf = PiecewiseMappingFunction(np.asarray(sample), n_partitions)
+    for value in _probes(pmf, extra):
+        assert _same_bits(pmf.evaluate(value), searchsorted_pmf_evaluate(pmf, value)), value
+        assert _same_bits(
+            pmf.skew_parameter(value, delta), searchsorted_pmf_skew_parameter(pmf, value, delta)
+        ), value

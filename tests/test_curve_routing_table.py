@@ -13,11 +13,15 @@ These tests hold the table against the per-request encoding it replaced
   ``np.min(np.hypot(...))`` over its cells;
 * shard extents;
 * a zero-width or zero-height data space, which routes without a NumPy
-  warning and with scalar, array and window routing in agreement.
+  warning and with scalar, array and window routing in agreement;
+* pickles and copies, which carry only ``n_shards``, the data space and
+  ``order`` and rebuild the tables on load, routing exactly as before.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 import warnings
 from unittest import mock
 
@@ -177,3 +181,41 @@ def test_refined_leaves_take_their_bounds_from_one_base_pass(name):
     for x, y in np.random.default_rng(4).uniform(-0.5, 1.5, size=(30, 2)).tolist():
         bounds = [policy.mindist(x, y, s) for s in range(policy.n_shards)]
         assert policy.mindists(x, y).tolist() == bounds
+
+
+def _routing(policy, points: np.ndarray) -> tuple:
+    """Everything the router asks a policy, over ``points``."""
+    rows = points.tolist()
+    return (
+        policy.n_shards,
+        policy.shard_of_many(points).tolist(),
+        [policy.shard_of(x, y) for x, y in rows],
+        [policy.shards_for_window(Rect(x, y, x + 0.3, y + 0.2)) for x, y in rows],
+        [policy.mindists(x, y).tolist() for x, y in rows[::7]],
+        [policy.shard_extent(s) for s in range(policy.n_shards)],
+    )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_pickles_carry_no_tables_and_route_alike_after_a_round_trip(policy):
+    data = pickle.dumps(policy)
+    assert pickle.loads(data).__dict__.keys() == policy.__dict__.keys()
+    assert b"numpy" not in data and len(data) < 400
+    points = _probe_points(policy)
+    want = _routing(policy, points)
+    assert _routing(pickle.loads(data), points) == want
+    assert _routing(copy.deepcopy(policy), points) == want
+    # a state pickled with the tables (before they were left out) loads too
+    old = type(policy).__new__(type(policy))
+    old.__setstate__(dict(policy.__dict__))
+    assert _routing(old, points) == want
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_an_adaptive_policy_round_trips_over_its_curve_base(name):
+    policy = AdaptiveShardingPolicy(CURVES[name](4, order=4))
+    clip = policy.shard_extent(2)
+    policy.split(2, axis=1, threshold=(clip.ylo + clip.yhi) / 2)
+    loaded = pickle.loads(pickle.dumps(policy))
+    points = _probe_points(policy.base)
+    assert _routing(loaded, points) == _routing(policy, points)

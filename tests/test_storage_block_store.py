@@ -1,9 +1,12 @@
 """Unit tests for repro.storage.block_store and repro.storage.stats."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.storage import AccessStats, BlockFile, BlockStore, SharedBufferPool
+from repro.storage.block_store import chain_points
 
 
 class TestAccessStats:
@@ -219,3 +222,43 @@ def test_read_chain_without_overflow_returns_the_block_array():
     assert store.read_chain(0) is store.peek(store.base_block_id(0)).points()
     chain = store.read_chain(4)
     assert chain.shape[0] == sum(len(block) for block in store.iter_chain(4))
+
+
+def test_touch_chain_returns_the_blocks_iter_chain_yields():
+    store = _chained_store(seed=4, stats=AccessStats())
+    for position in range(store.n_base_blocks):
+        chain = store.touch_chain(position)
+        walked = list(store.iter_chain(position))
+        assert [block.block_id for block in chain] == [block.block_id for block in walked]
+        assert all(a is b for a, b in zip(chain, walked))  # no disk tier: same objects
+        assert len(chain) == _CHAIN_DEPTHS.get(position, 0) + 1
+        assert chain_points(chain).tolist() == store.read_chain(position).tolist()
+    assert chain_points(store.touch_chain(0)) is store.peek(store.base_block_id(0)).points()
+
+
+def test_iter_chain_looks_up_successors_only_behind_an_overflow_link(tmp_path):
+    """The chain prefetch is issued exactly for chains with overflow blocks,
+    with their successor ids, and no successor walk runs for the others."""
+    _, stores = _tiered(tmp_path, "successors")
+    store = stores[0]
+    walks, prefetches = [], []
+    successor_ids, prefetch = BlockStore._chain_successor_ids, BlockStore._cache_prefetch
+
+    def spy_successors(self, block):
+        ids = successor_ids(self, block)
+        walks.append(ids)
+        return ids
+
+    def spy_prefetch(self, block_ids):
+        prefetches.append(list(block_ids))
+        return prefetch(self, block_ids)
+
+    with mock.patch.object(BlockStore, "_chain_successor_ids", spy_successors), mock.patch.object(
+        BlockStore, "_cache_prefetch", spy_prefetch
+    ):
+        for position in range(store.n_base_blocks):
+            list(store.iter_chain(position))
+    assert len(walks) == len(_CHAIN_DEPTHS) and all(walks)
+    assert prefetches == walks
+    for store in stores:
+        store.disk.close()
