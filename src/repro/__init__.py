@@ -209,8 +209,8 @@ memoised the same way.  Neither memo is pickled.
 floats, so an iterator started before a mutation keeps the old contents.
 :meth:`~repro.storage.BlockStore.touch_chain` reads a whole chain and
 returns its blocks, with exactly the reads and prefetch a complete
-``iter_chain`` walk records; :meth:`~repro.storage.BlockStore.read_chain`
-is that plus one concatenated array of the live points.  The batch engine
+``iter_chain`` walk records; :func:`~repro.storage.block_store.chain_points`
+joins those blocks' live points into one array.  The batch engine
 keeps the blocks of every chain a request touches and builds the array
 only when a compare that passes the block-MBR gate, a hash or a window
 scan needs it.

@@ -29,11 +29,11 @@ import numpy as np
 
 from repro.analytics.ops import QueryRequest, QueryResult
 from repro.engine import BatchQueryEngine, ENGINE_MODES
-from repro.engine.routing import LIST_ROWS
 from repro.sharding.index import ShardedSpatialIndex
 from repro.storage.stats import AccessSummary
 
 __all__ = [
+    "LIST_POINTS",
     "ShardedBatchEngine",
     "group_by_shard",
     "merge_shard_answers",
@@ -44,6 +44,16 @@ __all__ = [
 ]
 
 _EMPTY = np.empty((0, 2), dtype=float)
+
+#: point requests of up to this many rows group by shard as Python rows
+#: (one ``shard_of`` each), larger ones as one array.  Timed per request
+#: (``group_by_shard``, µs, 4 shards, 2-core shared host): the row form costs
+#: about 1 µs per row on the grid and curve-range policies, the array form a
+#: near-flat 17-45 µs, so they cross at 24-28 rows; on the sample-balanced
+#: and adaptive policies, whose array forms cost 60-150 µs, rows stay faster
+#: to 48-64.  The model-routing cut-over (``routing.LIST_ROWS``, 48) would
+#: leave the Hilbert policy's 48-row requests about 1.6x slower.
+LIST_POINTS = 24
 
 
 def request_ops(request: QueryRequest):
@@ -60,14 +70,14 @@ def group_by_shard(router, kind: str, ops) -> dict[int, list[int]]:
 
     A point belongs to exactly one shard; a window (or an aggregate's
     window) fans out to every shard its extent intersects.  Point requests
-    of up to :data:`~repro.engine.routing.LIST_ROWS` rows route as Python
-    rows, larger ones as one array; both give the same groups.
+    of up to :data:`LIST_POINTS` rows route as Python rows, larger ones as
+    one array; both give the same groups.
     """
     if len(ops) == 0:
         return {}
     by_shard: dict[int, list[int]] = {}
     if kind == "point":
-        if len(ops) > LIST_ROWS:
+        if len(ops) > LIST_POINTS:
             owners = router.shards_for_points(ops)
             return {
                 int(shard_id): np.nonzero(owners == shard_id)[0].tolist()

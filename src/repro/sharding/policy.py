@@ -215,6 +215,8 @@ class CurveRangePolicy(ShardingPolicy):
         codes = [[self._cell_code(cx, cy) for cy in range(side)] for cx in range(side)]
         #: ``_shard_table[cx, cy]`` is the shard owning grid cell (cx, cy)
         self._shard_table = np.searchsorted(self.boundaries, codes, side="right") - 1
+        #: the same table as nested lists, for routing a point without NumPy
+        self._shard_rows = self._shard_table.tolist()
         # every cell's rectangle, grouped by shard (cells of shard s are rows
         # _starts[s]:_starts[s + 1]), for one-pass MINDIST
         by_shard = np.argsort(self._shard_table, axis=None, kind="stable")
@@ -236,8 +238,8 @@ class CurveRangePolicy(ShardingPolicy):
     # -- routing -------------------------------------------------------------
 
     def shard_of(self, x: float, y: float) -> int:
-        cell = _grid_cell(self.data_space, float(x), float(y), self.side, self.side)
-        return int(self._shard_table[cell])
+        cx, cy = _grid_cell(self.data_space, float(x), float(y), self.side, self.side)
+        return self._shard_rows[cx][cy]
 
     def shard_of_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -426,7 +428,7 @@ def _spans(space: Rect) -> tuple[float, float]:
     """The space's width and height for cell arithmetic, a zero span read
     as infinite: every coordinate then falls in that axis's first cell,
     and nothing divides by zero."""
-    return space.width or math.inf, space.height or math.inf
+    return (space.xhi - space.xlo) or math.inf, (space.yhi - space.ylo) or math.inf
 
 
 def _grid_cell(space: Rect, x: float, y: float, nx: int, ny: int) -> tuple[int, int]:
@@ -438,9 +440,14 @@ def _grid_cell(space: Rect, x: float, y: float, nx: int, ny: int) -> tuple[int, 
     arithmetic over arrays, so scalar, array and window routing agree.
     """
     width, height = _spans(space)
-    ix = min(max((x - space.xlo) / width * nx, 0.0), nx - 1)
-    iy = min(max((y - space.ylo) / height * ny, 0.0), ny - 1)
-    return int(ix), int(iy)
+    ix = (x - space.xlo) / width * nx
+    iy = (y - space.ylo) / height * ny
+    # min(max(v, 0.0), n - 1) spelt as comparisons: the same cells, without
+    # two builtin calls per axis (a NaN still fails the int cast)
+    return (
+        0 if ix <= 0.0 else nx - 1 if ix >= nx - 1 else int(ix),
+        0 if iy <= 0.0 else ny - 1 if iy >= ny - 1 else int(iy),
+    )
 
 
 def _grid_cells(

@@ -337,11 +337,6 @@ class BlockStore:
             next_id = block.next_id
         return chain
 
-    def read_chain(self, position: int) -> np.ndarray:
-        """The live points of the chain at ``position`` as one ``(m, 2)`` array:
-        :func:`chain_points` of :meth:`touch_chain`."""
-        return chain_points(self.touch_chain(position))
-
     def scan_positions(self, begin: int, end: int) -> Iterator[Block]:
         """Yield every block whose chain starts at positions ``begin..end`` inclusive.
 

@@ -37,6 +37,7 @@ from repro.geometry import Rect
 from repro.nn import Adam, MinMaxScaler, MLPRegressor, TrainingConfig
 from repro.nn.mlp import PYTHON_ROWS
 from repro.storage import SharedBufferPool
+from repro.storage.block_store import chain_points
 
 TRAINING = TrainingConfig(epochs=8, seed=0)
 
@@ -240,7 +241,7 @@ def _tie_index() -> tuple[RSMI, float]:
     leaf.model = model
 
     positions = range(leaf.first_position, leaf.last_position + 1)
-    stored = [(p, rsmi.store.read_chain(p)) for p in positions]
+    stored = [(p, chain_points(rsmi.store.touch_chain(p))) for p in positions]
     signed = np.concatenate(
         [p - leaf.predict_positions(chain) for p, chain in stored if chain.shape[0]]
     )

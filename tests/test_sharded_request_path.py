@@ -1,9 +1,8 @@
 """The per-request path of a sharded index, against the code it replaced.
 
 * ``ShardRouter.shards_for_points`` over a list of ``(x, y)`` rows (the
-  form ``group_by_shard`` uses for requests of up to
-  ``routing.LIST_ROWS`` rows) routes every point where the array form
-  does, for every policy: grid, Z-order, Hilbert, sample-balanced, and an
+  form ``group_by_shard`` uses for requests of up to ``LIST_POINTS`` rows)
+  routes every point where the array form does, for every policy: grid, Z-order, Hilbert, sample-balanced, and an
   adaptive policy after a split and a merge.  Probes sit on every region
   and cell edge, beside them, outside the data space and at ``-0.0``.
 * The engine keeps each chain a request reads as its blocks and builds the
@@ -117,12 +116,12 @@ def test_list_rows_route_like_the_array_on_every_edge(policy):
 )
 def test_small_point_requests_group_like_the_array_path(policy, rows):
     """``group_by_shard`` gives the same groups from Python rows (up to
-    ``LIST_ROWS`` rows) as from the array path, whichever path a request's
+    ``LIST_POINTS`` rows) as from the array path, whichever path a request's
     size picks."""
     router = ShardRouter(policy)
     points = np.array(rows, dtype=float)
     groups = group_by_shard(router, "point", points)
-    with mock.patch("repro.sharding.engine.LIST_ROWS", 0):
+    with mock.patch("repro.sharding.engine.LIST_POINTS", 0):
         as_array = group_by_shard(router, "point", points)
     assert groups == as_array
     assert sorted(i for indices in groups.values() for i in indices) == list(range(len(rows)))

@@ -155,7 +155,7 @@ class TestBlockStoreAccounting:
             store.read(0)
 
 
-# -- read_chain: iter_chain's reads, one array ------------------------------------
+# -- touch_chain: iter_chain's reads, one call ------------------------------------
 
 #: overflow depth behind a few base positions (the rest have none)
 _CHAIN_DEPTHS = {1: 1, 4: 3, 7: 2}
@@ -193,15 +193,15 @@ def _tiered(tmp_path, name: str):
     return pool, stores
 
 
-def test_read_chain_reads_what_iter_chain_reads(tmp_path):
+def test_touch_chain_reads_what_iter_chain_reads(tmp_path):
     """Same points in the same order, and the same logical, physical and
     prefetch reads, pool hits, evictions, rejections and LRU order."""
-    pool_a, stores_a = _tiered(tmp_path, "read_chain")
+    pool_a, stores_a = _tiered(tmp_path, "touch_chain")
     pool_b, stores_b = _tiered(tmp_path, "iter_chain")
     rng = np.random.default_rng(11)
     shards = rng.integers(0, 2, 300).tolist()
     for shard, position in zip(shards, rng.integers(0, 10, 300).tolist()):
-        got = stores_a[shard].read_chain(position)
+        got = chain_points(stores_a[shard].touch_chain(position))
         want = np.vstack([block.points() for block in stores_b[shard].iter_chain(position)])
         assert got.tolist() == want.tolist()
     for store_a, store_b in zip(stores_a, stores_b):
@@ -217,10 +217,10 @@ def test_read_chain_reads_what_iter_chain_reads(tmp_path):
         store.disk.close()
 
 
-def test_read_chain_without_overflow_returns_the_block_array():
+def test_chain_points_without_overflow_returns_the_block_array():
     store = _chained_store(seed=3, stats=AccessStats())
-    assert store.read_chain(0) is store.peek(store.base_block_id(0)).points()
-    chain = store.read_chain(4)
+    assert chain_points(store.touch_chain(0)) is store.peek(store.base_block_id(0)).points()
+    chain = chain_points(store.touch_chain(4))
     assert chain.shape[0] == sum(len(block) for block in store.iter_chain(4))
 
 
@@ -232,8 +232,8 @@ def test_touch_chain_returns_the_blocks_iter_chain_yields():
         assert [block.block_id for block in chain] == [block.block_id for block in walked]
         assert all(a is b for a, b in zip(chain, walked))  # no disk tier: same objects
         assert len(chain) == _CHAIN_DEPTHS.get(position, 0) + 1
-        assert chain_points(chain).tolist() == store.read_chain(position).tolist()
-    assert chain_points(store.touch_chain(0)) is store.peek(store.base_block_id(0)).points()
+        want = np.vstack([block.points() for block in walked])
+        assert chain_points(chain).tolist() == want.tolist()
 
 
 def test_iter_chain_looks_up_successors_only_behind_an_overflow_link(tmp_path):
