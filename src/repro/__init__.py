@@ -213,7 +213,14 @@ returns its blocks, with exactly the reads and prefetch a complete
 joins those blocks' live points into one array.  The batch engine
 keeps the blocks of every chain a request touches and builds the array
 only when a compare that passes the block-MBR gate, a hash or a window
-scan needs it.
+scan needs it.  :meth:`~repro.core.RSMI.point_query` (Algorithm 1) reads a
+chain the gate rules out with ``touch_chain`` and walks the others with
+``iter_chain``, stopping at the block that holds the point.  The kNN query
+(Algorithm 3, :mod:`repro.core.knn`) reads each round's new chains with
+``touch_chain`` and examines them in one pass: one ``np.hypot`` over their
+points gives the round's k-th distance, and the per-point rule runs only
+over the blocks holding a point within it.  Both read exactly the blocks
+the paper's algorithms read.
 
 Durable storage & crash recovery
 --------------------------------

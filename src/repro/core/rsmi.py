@@ -197,17 +197,22 @@ class RSMI(SpatialIndex):
         outwards, so the expected number of block accesses stays close to one
         when the leaf model is accurate.  Every chain in the range is read
         until the point is found; a chain whose block MBR excludes the point
-        is read without comparing against its points.
+        is read whole with :meth:`BlockStore.touch_chain`, without comparing
+        against its points, and a chain that may hold it is walked block by
+        block and left at the block that does.
         """
         leaf, depth, _ = self.route_to_leaf(x, y)
         predicted = leaf.predict_position(x, y)
         begin, end = leaf.scan_range(predicted)
         blocks_scanned = 0
         for position in _outward_positions(predicted, begin, end):
-            may_hold = leaf.may_hold(position, x, y)
+            if not leaf.may_hold(position, x, y):
+                # the same reads as walking the chain to its end
+                blocks_scanned += len(self.store.touch_chain(position))
+                continue
             for block in self.store.iter_chain(position):
                 blocks_scanned += 1
-                if may_hold and block.contains(x, y):
+                if block.contains(x, y):
                     return PointQueryResult(
                         found=True,
                         block_id=block.block_id,

@@ -23,22 +23,31 @@ Older code paths live here as references too:
   computes each shard answer's distances in one call;
 * the ``searchsorted_pmf_*`` helpers evaluate a
   :class:`~repro.core.pmf.PiecewiseMappingFunction` over NumPy arrays with
-  ``np.searchsorted``, where the PMF now bisects Python lists.
+  ``np.searchsorted``, where the PMF now bisects Python lists;
+* :func:`per_point_knn_query` runs Algorithm 3's per-point rule over every
+  block as it walks each chain, where the index examines a round's chains
+  with one distance pass first;
+* :func:`iter_chain_point_query` walks every chain of Algorithm 1 with
+  ``iter_chain``, where the index reads a chain the block-MBR gate rules
+  out whole with ``touch_chain``.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.analytics import QueryResult
-from repro.core.results import PointQueryResult
+from repro.core.knn import initial_search_region
+from repro.core.results import KNNQueryResult, PointQueryResult
 from repro.core.rsmi import _outward_positions
-from repro.core.window import window_corner_points
+from repro.core.window import window_block_range, window_corner_points
 from repro.engine import BatchQueryEngine
-from repro.geometry import Rect
+from repro.geometry import Rect, mindist_point_rect
 from repro.storage.stats import AccessSummary
 
 __all__ = [
@@ -52,8 +61,10 @@ __all__ = [
     "encoded_shard_of",
     "encoded_shard_of_many",
     "encoded_shards_for_window",
+    "iter_chain_point_query",
     "per_block_aggregate_partials",
     "per_candidate_sharded_knn",
+    "per_point_knn_query",
     "searchsorted_pmf_evaluate",
     "searchsorted_pmf_skew_parameter",
     "ungated_point_query",
@@ -138,6 +149,38 @@ def ungated_point_query(index, x: float, y: float) -> PointQueryResult:
     )
 
 
+def iter_chain_point_query(index, x: float, y: float) -> PointQueryResult:
+    """Algorithm 1 on an RSMI, walking every chain with ``iter_chain`` and
+    comparing only where the block-MBR gate lets the point through."""
+    leaf, depth, _ = index.route_to_leaf(x, y)
+    predicted = leaf.predict_position(x, y)
+    begin, end = leaf.scan_range(predicted)
+    blocks_scanned = 0
+    for position in _outward_positions(predicted, begin, end):
+        may_hold = leaf.may_hold(position, x, y)
+        for block in index.store.iter_chain(position):
+            blocks_scanned += 1
+            if may_hold and block.contains(x, y):
+                return PointQueryResult(
+                    found=True,
+                    block_id=block.block_id,
+                    position=position,
+                    predicted_position=predicted,
+                    depth=depth,
+                    blocks_scanned=blocks_scanned,
+                    scan_begin=begin,
+                    scan_end=end,
+                )
+    return PointQueryResult(
+        found=False,
+        predicted_position=predicted,
+        depth=depth,
+        blocks_scanned=blocks_scanned,
+        scan_begin=begin,
+        scan_end=end,
+    )
+
+
 def ungated_window_block_range(index, window: Rect) -> tuple[int, int]:
     """The corner-bounded block range of Algorithm 2, each corner located
     by :func:`ungated_point_query`."""
@@ -192,6 +235,80 @@ def per_block_aggregate_partials(engine, specs) -> QueryResult:
         ]
     access = AccessSummary(logical_reads=stats.total_reads, physical_reads=stats.physical_reads)
     return QueryResult(kind="aggregate", values=partials, access=access)
+
+
+# -- Algorithm 3 point by point ---------------------------------------------------------
+
+
+def per_point_knn_query(index, x: float, y: float, k: int) -> KNNQueryResult:
+    """Algorithm 3 on an RSMI, applying the per-point rule to every block
+    of every chain as ``iter_chain`` yields it."""
+    index._require_built()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+    width, height = initial_search_region(index, x, y, k)
+    width = max(width, 1e-9)
+    height = max(height, 1e-9)
+
+    space = index.data_space()
+
+    best: list[tuple[float, float, float]] = []
+    kth = math.inf
+    visited_positions: set[int] = set()
+    blocks_scanned = 0
+    expansions = 0
+    hypot = math.hypot
+
+    while True:
+        expansions += 1
+        region = Rect.from_center(x, y, width, height)
+        if region.contains_rect(space):
+            begin, end = 0, index.store.n_base_blocks - 1
+        else:
+            begin, end = window_block_range(index, region)
+
+        for position in range(begin, end + 1):
+            if position in visited_positions:
+                continue
+            visited_positions.add(position)
+            for block in index.store.iter_chain(position):
+                blocks_scanned += 1
+                if kth < math.inf:
+                    block_mbr = block.mbr()
+                    if block_mbr is None or mindist_point_rect(x, y, block_mbr) >= kth:
+                        continue
+                for px, py in block.iter_points():
+                    distance = hypot(x - px, y - py)
+                    if distance < kth:
+                        bisect.insort(best, (distance, px, py))
+                        if len(best) >= k:
+                            del best[k:]
+                            kth = best[-1][0]
+
+        if len(best) < k:
+            if begin == 0 and end == index.store.n_base_blocks - 1:
+                break
+            width *= 2.0
+            height *= 2.0
+        elif kth > math.hypot(width, height) / 2.0:
+            width = 2.0 * kth
+            height = 2.0 * kth
+        else:
+            break
+
+        if expansions >= index.config.knn_max_expansions:
+            break
+
+    points = np.asarray([(px, py) for _, px, py in best], dtype=float).reshape(-1, 2)
+    distances = np.asarray([d for d, _, _ in best], dtype=float)
+    return KNNQueryResult(
+        points=points,
+        distances=distances,
+        blocks_scanned=blocks_scanned,
+        expansions=expansions,
+        exact=False,
+    )
 
 
 # -- the engine's chains: one array per chain, built at the read ------------------------
